@@ -106,7 +106,7 @@ void e9c_working_capital() {
   EPenny min_balance = sys.isp(0).user(0).balance;
   for (int step = 0; step < 600; ++step) {
     sys.run_for(sim::kMinute);
-    min_balance = std::min(min_balance, sys.isp(0).user(0).balance);
+    min_balance = std::min<EPenny>(min_balance, sys.isp(0).user(0).balance);
   }
   list.reconcile_and_prune();
 

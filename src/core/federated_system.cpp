@@ -528,8 +528,7 @@ Money FederatedZmailSystem::total_real_money() const {
   Money total = Money::zero();
   for (std::size_t i = 0; i < params_.n_isps; ++i) {
     total += fed_->isp_account(i);
-    total += isps_[i]->till();
-    for (const Money a : isps_[i]->users().accounts()) total += a;
+    total += isps_[i]->till() + isps_[i]->users().account_total();
   }
   return total;
 }
@@ -542,7 +541,8 @@ bool FederatedZmailSystem::conservation_holds() const {
            params_.initial_user_balance);
   const EPenny outstanding = fed_->metrics().epennies_minted -
                              fed_->metrics().epennies_burned;
-  return total_epennies() == initial + outstanding;
+  return running_totals_agree(isps_) &&
+         total_epennies() == initial + outstanding;
 }
 
 }  // namespace zmail::core

@@ -44,9 +44,13 @@ Isp::Isp(std::size_t index, const ZmailParams& params,
 }
 
 EPenny Isp::epennies_held() const noexcept {
-  EPenny total = avail_;
-  for (const EPenny b : users_.balances()) total += b;
-  return total;
+  return avail_ + users_.balance_total();
+}
+
+bool running_totals_agree(std::span<const std::unique_ptr<Isp>> isps) {
+  for (const auto& isp : isps)
+    if (isp && !isp->users().totals_agree()) return false;
+  return true;
 }
 
 bool Isp::commit_paid_send(UserId s) {

@@ -18,7 +18,9 @@
 
 #include <deque>
 #include <functional>
+#include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -192,7 +194,8 @@ class Isp {
       std::function<void(UserId user, const net::EmailMessage&)> sink) {
     ack_sink_ = std::move(sink);
   }
-  // Sum of user balances + avail pool (for conservation checks).
+  // Sum of user balances + avail pool (for conservation checks).  O(1):
+  // reads the population's running balance total.
   EPenny epennies_held() const noexcept;
 
   // Transport-layer events attributed to this ISP's counters (the harness
@@ -368,5 +371,11 @@ class Isp {
   crypto::Envelope env_scratch_;
   crypto::Bytes plain_scratch_;
 };
+
+// The quiet-point agreement check shared by every facade's
+// conservation_holds(): each ISP's running balance/account totals equal a
+// full scan of its population's columns.  O(population).  Null slots (ISPs
+// another shard owns, legacy hosts) are skipped.
+bool running_totals_agree(std::span<const std::unique_ptr<Isp>> isps);
 
 }  // namespace zmail::core

@@ -41,6 +41,8 @@ void Population::reset(std::size_t n, Money account, EPenny balance,
   lifetime_received_paid_.assign(n, 0);
   lifetime_bought_.assign(n, 0);
   lifetime_sold_.assign(n, 0);
+  account_total_ = account * static_cast<std::int64_t>(n);
+  balance_total_ = balance * static_cast<EPenny>(n);
   // sent[] first so the i64 block sits at offset 0 of the (max-aligned)
   // allocation; blocked_today[] is byte-granular and follows.
   day_arena_bytes_ = n * sizeof(std::int64_t) + n * sizeof(std::uint8_t);
@@ -86,10 +88,24 @@ const std::uint8_t* Population::column_data(Column c) const noexcept {
   return nullptr;
 }
 
+EPenny Population::scan_balance_total() const noexcept {
+  EPenny total = 0;
+  for (const EPenny b : balances()) total += b;
+  return total;
+}
+
+Money Population::scan_account_total() const noexcept {
+  Money total = Money::zero();
+  for (const Money a : accounts()) total += a;
+  return total;
+}
+
 bool Population::load_column(Column c, const std::uint8_t* data,
                              std::size_t len) {
   if (len != column_bytes(c)) return false;
   if (len != 0) std::memcpy(mutable_column_data(c), data, len);
+  if (c == Column::kAccount) account_total_ = scan_account_total();
+  if (c == Column::kBalance) balance_total_ = scan_balance_total();
   return true;
 }
 

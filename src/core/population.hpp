@@ -19,7 +19,18 @@
 //
 // Rows are exposed through UserRef/ConstUserRef proxies whose members are
 // references into the columns, so `isp.user(u).balance -= 1` reads exactly
-// as it did with UserAccount.  The boolean-ish columns are std::uint8_t,
+// as it did with UserAccount.
+//
+// The two value-holding columns, account[] (real money) and balance[]
+// (e-pennies), are tracked: Population keeps a running total of each, and
+// UserRef exposes them as TrackedRef, whose `=`, `+=` and `-=` update the
+// cell and the total together.  Every write to those columns goes through
+// a TrackedRef, reset() or load_column(), so balance_total() and
+// account_total() are O(1) and always equal the column sums; the zero-sum
+// barrier audit reads them instead of scanning every user.  The O(n)
+// scan_balance_total()/scan_account_total() recompute the sums from the
+// columns, and the quiet-point conservation checks require the two to
+// agree (totals_agree()).  The boolean-ish columns are std::uint8_t,
 // not bool: proxies need addressable storage (vector<bool> has none) and
 // raw column snapshots must be able to memcpy bytes back in without
 // manufacturing invalid `bool` object representations.
@@ -45,11 +56,48 @@
 
 namespace zmail::core {
 
+// Reference to one cell of a tracked column.  Reads as `const T&`; `=`,
+// `+=` and `-=` write the cell and move the column's running total by the
+// same amount.  Assigning one TrackedRef to another copies the value, as
+// assigning through two plain references would.
+template <typename T>
+class TrackedRef {
+ public:
+  constexpr TrackedRef(T& cell, T& total) noexcept
+      : cell_(&cell), total_(&total) {}
+  constexpr TrackedRef(const TrackedRef&) noexcept = default;
+
+  constexpr operator const T&() const noexcept { return *cell_; }
+
+  constexpr const TrackedRef& operator=(const T& v) const noexcept {
+    *total_ += v - *cell_;
+    *cell_ = v;
+    return *this;
+  }
+  constexpr const TrackedRef& operator=(const TrackedRef& o) const noexcept {
+    return *this = static_cast<const T&>(o);
+  }
+  constexpr const TrackedRef& operator+=(const T& d) const noexcept {
+    *cell_ += d;
+    *total_ += d;
+    return *this;
+  }
+  constexpr const TrackedRef& operator-=(const T& d) const noexcept {
+    *cell_ -= d;
+    *total_ -= d;
+    return *this;
+  }
+
+ private:
+  T* cell_;
+  T* total_;
+};
+
 // Mutable view of one user's row; members alias the population's columns.
-// Valid while the Population is alive and not reset.
+// Valid while the Population is alive, not moved, and not reset.
 struct UserRef {
-  Money& account;            // real-money balance with the ISP
-  EPenny& balance;           // e-penny balance
+  TrackedRef<Money> account;   // real-money balance with the ISP
+  TrackedRef<EPenny> balance;  // e-penny balance
   std::int64_t& sent;        // paid emails sent today (day arena)
   std::int64_t& limit;       // max paid emails per day (zombie guard)
   std::uint8_t& blocked_today;  // 0/1: hit the limit today (day arena)
@@ -139,10 +187,16 @@ class Population {
   UserRef at(UserId u) {
     ZMAIL_ASSERT(u.slot() < n_);
     const std::size_t i = u.slot();
-    return UserRef{account_[i],       balance_[i],      sent_[i],
-                   limit_[i],         blocked_[i],      warnings_[i],
-                   quarantined_[i],   lifetime_sent_[i],
-                   lifetime_received_paid_[i], lifetime_bought_[i],
+    return UserRef{{account_[i], account_total_},
+                   {balance_[i], balance_total_},
+                   sent_[i],
+                   limit_[i],
+                   blocked_[i],
+                   warnings_[i],
+                   quarantined_[i],
+                   lifetime_sent_[i],
+                   lifetime_received_paid_[i],
+                   lifetime_bought_[i],
                    lifetime_sold_[i]};
   }
   ConstUserRef at(UserId u) const {
@@ -160,6 +214,19 @@ class Population {
   void reset_day() noexcept {
     if (day_arena_bytes_ != 0)
       std::memset(day_arena_.get(), 0, day_arena_bytes_);
+  }
+
+  // --- Running totals of the tracked columns --------------------------------
+  // O(1): maintained by every write to balance[] / account[].
+  EPenny balance_total() const noexcept { return balance_total_; }
+  Money account_total() const noexcept { return account_total_; }
+  // O(n): the same sums recomputed from the columns.
+  EPenny scan_balance_total() const noexcept;
+  Money scan_account_total() const noexcept;
+  // True when both running totals equal their full scans.
+  bool totals_agree() const noexcept {
+    return balance_total_ == scan_balance_total() &&
+           account_total_ == scan_account_total();
   }
 
   // --- Sparse per-user policy override (Section 5) ------------------------
@@ -224,7 +291,8 @@ class Population {
   std::size_t column_bytes(Column c) const noexcept {
     return n_ * column_width(c);
   }
-  // Bulk restore of one column; `len` must equal column_bytes(c).
+  // Bulk restore of one column; `len` must equal column_bytes(c).  Loading
+  // a tracked column recomputes its running total.
   bool load_column(Column c, const std::uint8_t* data, std::size_t len);
 
  private:
@@ -242,6 +310,8 @@ class Population {
   std::vector<std::int64_t> lifetime_received_paid_;
   std::vector<EPenny> lifetime_bought_;
   std::vector<EPenny> lifetime_sold_;
+  Money account_total_;       // sum of account_
+  EPenny balance_total_ = 0;  // sum of balance_
   // Day arena: sent[n] (i64, 8-aligned at offset 0) then blocked_today[n]
   // (u8).  reset_day() clears the whole block at once.
   std::unique_ptr<std::uint8_t[]> day_arena_;

@@ -358,7 +358,10 @@ bool ShardedSystem::conservation_holds() const {
   // global sum balances.  Endowments count where the ISP lives; the net
   // mint counts on the bank shard.
   EPenny initial = 0;
-  for (const auto& s : shards_) initial += s->initial_endowment_owned();
+  for (const auto& s : shards_) {
+    if (!s->running_totals_agree()) return false;
+    initial += s->initial_endowment_owned();
+  }
   return total_epennies() == initial + bank().epennies_outstanding();
 }
 
@@ -384,6 +387,10 @@ void ShardedSystem::audit_barrier(sim::SimTime at) {
   // creation: holdings above endowment + mint means a double-mint,
   // double-credit, or replayed refund got through.  The strict equality is
   // still enforced at quiet points via conservation_holds().
+  //
+  // Both totals are O(ISPs): they read each population's running holdings
+  // totals, never a per-user column.  conservation_holds() does the full
+  // scan and checks that it agrees with those totals.
   EPenny initial = 0;
   for (const auto& s : shards_) initial += s->initial_endowment_owned();
   if (total_epennies() > initial + bank().epennies_outstanding())

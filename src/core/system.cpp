@@ -966,8 +966,7 @@ Money ZmailSystem::total_real_money() const {
   for (std::size_t i = 0; i < params_.n_isps; ++i) {
     if (bank_) total += bank_->account(i);
     if (!isps_[i]) continue;
-    total += isps_[i]->till();
-    for (const Money a : isps_[i]->users().accounts()) total += a;
+    total += isps_[i]->till() + isps_[i]->users().account_total();
   }
   return total;
 }
@@ -983,11 +982,17 @@ EPenny ZmailSystem::initial_endowment_owned() const {
   return initial;
 }
 
+bool ZmailSystem::running_totals_agree() const {
+  return core::running_totals_agree(isps_);
+}
+
 bool ZmailSystem::conservation_holds() const {
-  // Initial endowment + net minted must equal current holdings.
-  return total_epennies() ==
-         initial_endowment_owned() +
-             (bank_ ? bank_->epennies_outstanding() : 0);
+  // The running holdings totals must match a full scan, then initial
+  // endowment + net minted must equal current holdings.
+  return running_totals_agree() &&
+         total_epennies() ==
+             initial_endowment_owned() +
+                 (bank_ ? bank_->epennies_outstanding() : 0);
 }
 
 }  // namespace zmail::core

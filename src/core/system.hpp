@@ -283,13 +283,18 @@ class ZmailSystem {
   // Σ ISP bank accounts + Σ user real-money accounts + Σ ISP tills.  On a
   // slice: only this shard's share (bank accounts count on the bank shard,
   // tills and user accounts on their owner) — sum across shards for the
-  // global figure.
+  // global figure.  Both totals are O(ISPs): user holdings come from the
+  // populations' running totals, not a scan.
   Money total_real_money() const;
   // Initial e-penny endowment of the compliant ISPs this instance owns
   // (all of them on a whole world).
   EPenny initial_endowment_owned() const;
-  // True when supply equals holdings: minted - burned == total_epennies().
-  // Per-shard escrow drift makes this meaningless on a slice mid-run; use
+  // O(population): every owned ISP's running balance/account totals equal
+  // a full scan of its columns.
+  bool running_totals_agree() const;
+  // True when the running totals agree with the scan and supply equals
+  // holdings: minted - burned == total_epennies().  Per-shard escrow drift
+  // makes this meaningless on a slice mid-run; use
   // ShardedSystem::conservation_holds for the global check.
   bool conservation_holds() const;
 

@@ -110,5 +110,27 @@ TEST(FederatedSystem, SingleBankMatchesCentralBehaviour) {
   EXPECT_TRUE(sys.conservation_holds());
 }
 
+TEST(FederatedSystem, ConservationRequiresRunningTotalsToMatchTheScan) {
+  FederatedZmailSystem sys(fed_params(), 3, 4);
+  sys.send_email(user(0, 0), user(4, 1), "x", "b");
+  sys.buy_epennies(user(2, 2), 5);
+  sys.run_for(sim::kMinute);
+  ASSERT_TRUE(sys.conservation_holds());
+  const Money before = sys.total_real_money();
+
+  // A balance write that bypasses the tracked column: the running totals
+  // (and so total_epennies()) still balance, only the full scan sees it.
+  const Population& users = sys.isp(4).users();
+  const_cast<EPenny*>(users.balances().data())[1] += 1;
+  EXPECT_FALSE(sys.conservation_holds());
+  const_cast<EPenny*>(users.balances().data())[1] -= 1;
+  ASSERT_TRUE(sys.conservation_holds());
+
+  // total_real_money() sums the running account totals, not the column.
+  const_cast<Money*>(users.accounts().data())[0] += Money::from_cents(3);
+  EXPECT_EQ(sys.total_real_money(), before);
+  EXPECT_FALSE(sys.conservation_holds());
+}
+
 }  // namespace
 }  // namespace zmail::core

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "core/bank.hpp"
+#include "store/snapshot.hpp"
+#include "store/wal.hpp"
 
 namespace zmail::core {
 namespace {
@@ -602,6 +607,142 @@ TEST_F(IspTest, EPenniesHeldSumsUsersAndPool) {
   isp_.user_buy(0, 10);  // internal move: total unchanged
   EXPECT_EQ(isp_.epennies_held(),
             params_.initial_avail + 4 * params_.initial_user_balance);
+}
+
+// --- Running holdings totals vs. full scans --------------------------------
+// Every path that moves value must keep the population's running totals
+// equal to a scan of its columns; epennies_held() reads the running one.
+
+void expect_totals_agree(const Isp& isp) {
+  const Population& p = isp.users();
+  EXPECT_EQ(p.balance_total(), p.scan_balance_total());
+  EXPECT_EQ(p.account_total(), p.scan_account_total());
+  EXPECT_EQ(isp.epennies_held(), isp.avail() + p.scan_balance_total());
+}
+
+net::EmailMessage list_mail(std::size_t fi, std::size_t fu, std::size_t ti,
+                            std::size_t tu, std::size_t dist_isp) {
+  net::EmailMessage msg = mail(fi, fu, ti, tu, net::MailClass::kMailingList);
+  msg.set_header("X-Zmail-Ack-To", net::make_user_address(dist_isp, 0).str());
+  return msg;
+}
+
+TEST_F(IspTest, RunningTotalsTrackSendReceiveTradeAndRefund) {
+  expect_totals_agree(isp_);
+  EXPECT_EQ(isp_.user_send(0, 0, 1, mail(0, 0, 0, 1)),
+            SendResult::kDeliveredLocally);
+  expect_totals_agree(isp_);
+  EXPECT_EQ(isp_.user_send(0, 1, 2, mail(0, 0, 1, 2)), SendResult::kSentPaid);
+  expect_totals_agree(isp_);
+  isp_.on_email(1, mail(1, 0, 0, 2).serialize());  // paid receive
+  EXPECT_EQ(isp_.user(2).balance, params_.initial_user_balance + 1);
+  expect_totals_agree(isp_);
+  isp_.refund_lost_email(0, 1, true);  // the remote send above was lost
+  EXPECT_EQ(isp_.user(0).balance, params_.initial_user_balance - 1);
+  expect_totals_agree(isp_);
+  ASSERT_TRUE(isp_.user_buy(3, 20));
+  expect_totals_agree(isp_);
+  ASSERT_TRUE(isp_.user_sell(3, 7));
+  expect_totals_agree(isp_);
+  EXPECT_FALSE(isp_.user_sell(3, 1'000));  // refused: nothing moves
+  expect_totals_agree(isp_);
+  EXPECT_EQ(isp_.users().account_total(),
+            params_.initial_user_account * 4 - Money::from_epennies(13));
+}
+
+TEST_F(IspTest, RunningTotalsTrackQuiesceShed) {
+  params_.max_buffered_sends = 1;
+  Isp isp(0, params_, keys_.pub, 42);
+  isp.force_cansend(false);
+  EXPECT_EQ(isp.user_send(0, 1, 0, mail(0, 0, 1, 0)), SendResult::kBuffered);
+  expect_totals_agree(isp);
+  EXPECT_EQ(isp.user_send(1, 1, 0, mail(0, 1, 1, 0)), SendResult::kShed);
+  EXPECT_EQ(isp.user(1).balance, params_.initial_user_balance);  // undone
+  expect_totals_agree(isp);
+}
+
+TEST_F(IspTest, RunningTotalsTrackAckGenerationAndShed) {
+  // Remote list mail: +1 on delivery, -1 for the generated ack.
+  isp_.on_email(1, list_mail(1, 0, 0, 2, 1).serialize());
+  EXPECT_EQ(isp_.metrics().acks_generated, 1u);
+  expect_totals_agree(isp_);
+  // Local list mail: the ack pays the distributor on the same ISP.
+  EXPECT_EQ(isp_.user_send(0, 0, 1, list_mail(0, 0, 0, 1, 0)),
+            SendResult::kDeliveredLocally);
+  EXPECT_EQ(isp_.metrics().acks_generated, 2u);
+  expect_totals_agree(isp_);
+
+  // Quiescing with a full buffer: the ack is shed and its payment undone.
+  params_.max_buffered_sends = 1;
+  Isp isp(0, params_, keys_.pub, 42);
+  isp.force_cansend(false);
+  ASSERT_EQ(isp.user_send(0, 1, 0, mail(0, 0, 1, 0)), SendResult::kBuffered);
+  isp.on_email(1, list_mail(1, 0, 0, 2, 1).serialize());
+  EXPECT_EQ(isp.metrics().emails_shed, 1u);
+  EXPECT_EQ(isp.user(2).balance, params_.initial_user_balance + 1);
+  expect_totals_agree(isp);
+}
+
+// Records the WAL stream in memory so a test can replay it.
+class MemoryWal : public store::WalSink {
+ public:
+  void append(std::uint8_t type, const crypto::Bytes& payload) override {
+    records.emplace_back(type, payload);
+  }
+  std::vector<std::pair<std::uint8_t, crypto::Bytes>> records;
+};
+
+void dirty_users(Isp& isp) {
+  isp.user_send(0, 0, 1, mail(0, 0, 0, 1));
+  isp.user_send(1, 1, 2, mail(0, 1, 1, 2));
+  isp.on_email(2, mail(2, 0, 0, 3).serialize());
+  isp.user_buy(2, 3);
+  isp.user_sell(3, 4);
+  (void)isp.take_outbox();
+}
+
+TEST_F(IspTest, RunningTotalsSurviveV1RowAndV2ColumnRestores) {
+  dirty_users(isp_);
+  expect_totals_agree(isp_);
+
+  Isp v1(0, params_, keys_.pub, 7);
+  ASSERT_TRUE(v1.restore_state(isp_.serialize_state()));
+  expect_totals_agree(v1);
+  EXPECT_EQ(v1.users().balance_total(), isp_.users().balance_total());
+  EXPECT_EQ(v1.users().account_total(), isp_.users().account_total());
+
+  std::vector<store::SnapshotSection> sections;
+  isp_.serialize_sections(sections);
+  std::vector<Isp::RawSection> raw;
+  for (const auto& sec : sections)
+    raw.push_back(Isp::RawSection{sec.id, sec.payload.data(),
+                                  sec.payload.size()});
+  Isp v2(0, params_, keys_.pub, 7);
+  v2.user(0).balance += 1'000;  // stale state the restore must replace
+  ASSERT_TRUE(v2.restore_columnar(raw));
+  expect_totals_agree(v2);
+  EXPECT_EQ(v2.users().balance_total(), isp_.users().balance_total());
+  EXPECT_EQ(v2.users().account_total(), isp_.users().account_total());
+}
+
+TEST_F(IspTest, RunningTotalsSurviveCrashAndRecover) {
+  MemoryWal wal;
+  dirty_users(isp_);
+  const crypto::Bytes checkpoint = isp_.serialize_state();
+  isp_.attach_wal(&wal);
+  dirty_users(isp_);  // the WAL tail past the checkpoint
+  isp_.refund_lost_email(1, 1, true);
+  ASSERT_FALSE(wal.records.empty());
+
+  // Crash: a fresh instance rebuilt from the checkpoint plus the tail.
+  Isp recovered(0, params_, keys_.pub, 7);
+  ASSERT_TRUE(recovered.restore_state(checkpoint));
+  for (const auto& [op, payload] : wal.records)
+    recovered.apply_wal_record(op, payload);
+  expect_totals_agree(recovered);
+  EXPECT_EQ(recovered.serialize_state(), isp_.serialize_state());
+  EXPECT_EQ(recovered.epennies_held(), isp_.epennies_held());
+  EXPECT_EQ(recovered.users().account_total(), isp_.users().account_total());
 }
 
 TEST(SendResultNames, AllDistinct) {

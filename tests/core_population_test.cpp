@@ -11,6 +11,7 @@
 #include "core/bank.hpp"
 #include "core/isp.hpp"
 #include "store/snapshot.hpp"
+#include "util/rng.hpp"
 
 namespace zmail::core {
 namespace {
@@ -127,6 +128,139 @@ TEST(PopulationTest, ColumnSpansAndRawBytes) {
   // Wrong length refused.
   EXPECT_FALSE(q.load_column(Population::Column::kBalance,
                              p.column_data(Population::Column::kBalance), 7));
+}
+
+// --- Running totals of the tracked columns ---------------------------------
+
+void expect_totals_match_scan(const Population& p) {
+  EXPECT_EQ(p.balance_total(), p.scan_balance_total());
+  EXPECT_EQ(p.account_total(), p.scan_account_total());
+  EXPECT_TRUE(p.totals_agree());
+}
+
+TEST(PopulationTotalsTest, ResetSetsTotalsToNTimesStart) {
+  Population p;
+  p.reset(5, Money::from_dollars(2.5), 7, 4);
+  EXPECT_EQ(p.balance_total(), 35);
+  EXPECT_EQ(p.account_total(), Money::from_dollars(12.5));
+  expect_totals_match_scan(p);
+  p.at(0).balance += 3;
+  p.reset(3, Money::zero(), 1, 4);  // a reset forgets earlier writes
+  EXPECT_EQ(p.balance_total(), 3);
+  EXPECT_EQ(p.account_total(), Money::zero());
+  expect_totals_match_scan(p);
+  p.reset(0, Money::from_dollars(1.0), 9, 4);
+  EXPECT_EQ(p.balance_total(), 0);
+  expect_totals_match_scan(p);
+}
+
+TEST(PopulationTotalsTest, ProxyAssignAddSubtractMoveTotals) {
+  Population p;
+  p.reset(4, Money::from_epennies(10), 10, 5);
+  p.at(1).balance = 3;  // -7
+  EXPECT_EQ(p.balance_total(), 33);
+  expect_totals_match_scan(p);
+  p.at(2).balance += 5;
+  EXPECT_EQ(p.balance_total(), 38);
+  expect_totals_match_scan(p);
+  p.at(3).balance -= 10;
+  EXPECT_EQ(p.balance_total(), 28);
+  expect_totals_match_scan(p);
+
+  p.at(0).account = Money::from_epennies(1);  // -9
+  EXPECT_EQ(p.account_total(), Money::from_epennies(31));
+  p.at(1).account += Money::from_epennies(4);
+  p.at(2).account -= Money::from_epennies(20);  // may go negative
+  EXPECT_EQ(p.account_total(), Money::from_epennies(15));
+  expect_totals_match_scan(p);
+
+  // Row-to-row assignment copies the value and tracks the difference.
+  p.at(0).balance = p.at(2).balance;
+  EXPECT_EQ(p.balances()[0], 15);
+  EXPECT_EQ(p.balance_total(), 33);
+  expect_totals_match_scan(p);
+
+  // Untracked columns do not touch the totals.
+  p.at(0).sent += 3;
+  p.at(0).lifetime_epennies_bought += 100;
+  EXPECT_EQ(p.balance_total(), 33);
+  expect_totals_match_scan(p);
+}
+
+TEST(PopulationTotalsTest, LoadColumnRecomputesTrackedTotals) {
+  Population src;
+  src.reset(6, Money::from_epennies(3), 4, 5);
+  src.at(1).balance += 50;
+  src.at(4).account -= Money::from_epennies(2);
+
+  Population dst;
+  dst.reset(6, Money::zero(), 0, 0);
+  ASSERT_TRUE(dst.load_column(Population::Column::kBalance,
+                              src.column_data(Population::Column::kBalance),
+                              src.column_bytes(Population::Column::kBalance)));
+  EXPECT_EQ(dst.balance_total(), src.balance_total());
+  EXPECT_EQ(dst.account_total(), Money::zero());  // not loaded yet
+  expect_totals_match_scan(dst);
+  ASSERT_TRUE(dst.load_column(Population::Column::kAccount,
+                              src.column_data(Population::Column::kAccount),
+                              src.column_bytes(Population::Column::kAccount)));
+  EXPECT_EQ(dst.account_total(), src.account_total());
+  expect_totals_match_scan(dst);
+  // A refused load leaves the totals alone.
+  EXPECT_FALSE(dst.load_column(Population::Column::kBalance,
+                               src.column_data(Population::Column::kBalance),
+                               3));
+  EXPECT_EQ(dst.balance_total(), src.balance_total());
+}
+
+TEST(PopulationTotalsTest, SeededRandomMutationsKeepTotalsExact) {
+  Population p;
+  p.reset(64, Money::from_dollars(1.0), 20, 5);
+  Rng rng(2024);
+  EPenny expect_balance = 64 * 20;
+  Money expect_account = Money::from_dollars(64.0);
+  for (int step = 0; step < 5'000; ++step) {
+    const UserId u(rng.next_below(64));
+    const EPenny d = static_cast<EPenny>(rng.next_below(41)) - 20;
+    const Money m = Money::from_micros(d * 1'234);
+    switch (rng.next_below(6)) {
+      case 0: expect_balance += d; p.at(u).balance += d; break;
+      case 1: expect_balance -= d; p.at(u).balance -= d; break;
+      case 2:
+        expect_balance += d - p.balances()[u.slot()];
+        p.at(u).balance = d;
+        break;
+      case 3: expect_account += m; p.at(u).account += m; break;
+      case 4: expect_account -= m; p.at(u).account -= m; break;
+      default:
+        expect_account = expect_account + m - p.accounts()[u.slot()];
+        p.at(u).account = m;
+        break;
+    }
+    if (step % 500 == 0) expect_totals_match_scan(p);
+  }
+  EXPECT_EQ(p.balance_total(), expect_balance);
+  EXPECT_EQ(p.account_total(), expect_account);
+  expect_totals_match_scan(p);
+}
+
+TEST(PopulationTotalsTest, ScanCatchesAWriteAroundTheTotal) {
+  Population p;
+  p.reset(3, Money::zero(), 10, 5);
+  ASSERT_TRUE(p.totals_agree());
+  // A write that bypasses TrackedRef (the bug the agreement check exists
+  // to catch) leaves the running total stale.
+  const_cast<EPenny*>(p.balances().data())[1] += 1;
+  EXPECT_EQ(p.balance_total(), 30);
+  EXPECT_EQ(p.scan_balance_total(), 31);
+  EXPECT_FALSE(p.totals_agree());
+  p.at(1).balance = 10;  // tracked write of -1 against the stale total
+  EXPECT_FALSE(p.totals_agree());
+
+  Population q;
+  q.reset(3, Money::from_dollars(1.0), 0, 5);
+  const_cast<Money*>(q.accounts().data())[0] = Money::zero();
+  EXPECT_FALSE(q.totals_agree());
 }
 
 // --- ISP snapshot renditions ------------------------------------------------

@@ -77,6 +77,8 @@ std::string run_and_snapshot(std::size_t shards, std::size_t threads,
       << (w.barrier_audit().messages.empty()
               ? ""
               : w.barrier_audit().messages.front());
+  // The audit runs at every window edge.
+  EXPECT_EQ(w.barrier_audit().checks, w.engine_stats()->windows);
   EXPECT_TRUE(w.conservation_holds());
   return obs::snapshot(w, obs::Schema::kV1).dump();
 }
@@ -303,6 +305,82 @@ TEST(ShardedEngineTest, ComplianceFlipRoutesAcrossShards) {
   w.run_for(sim::kHour);
   EXPECT_TRUE(w.conservation_holds());
   EXPECT_TRUE(w.barrier_audit().ok());
+}
+
+// --- Barrier audits catch value creation -----------------------------------
+// The barrier audit reads O(ISPs) running totals; value created between two
+// windows must still trip it, and the next quiet point must fail too.
+
+std::string audit_messages(const BarrierAudit& a) {
+  std::string all;
+  for (const std::string& m : a.messages) all += m + "\n";
+  return all;
+}
+
+TEST(ShardedBarrierAuditTest, EPenniesCreatedBetweenWindowsAreCaught) {
+  ShardOptions o;
+  o.shards = 4;
+  ShardedSystem w(world_params(), 71, o);
+  drive_mixed_traffic(w, 72, 5);
+  ASSERT_TRUE(w.barrier_audit().ok()) << audit_messages(w.barrier_audit());
+  ASSERT_TRUE(w.conservation_holds());
+
+  w.isp(5).user(1).balance += 5;  // e-pennies from nowhere, off shard 0
+  const std::uint64_t checks = w.barrier_audit().checks;
+  drive_mixed_traffic(w, 73, 1);  // windows only run while events are due
+  ASSERT_GT(w.barrier_audit().checks, checks);
+
+  const BarrierAudit& a = w.barrier_audit();
+  EXPECT_GT(a.failures, 0u);
+  ASSERT_FALSE(a.messages.empty());
+  EXPECT_EQ(a.messages.front().rfind("e-pennies created from nothing", 0), 0u)
+      << a.messages.front();
+  EXPECT_EQ(audit_messages(a).find("real money"), std::string::npos);
+  EXPECT_FALSE(w.conservation_holds());  // drive_mixed_traffic ends quiet
+}
+
+TEST(ShardedBarrierAuditTest, RealMoneyCreatedBetweenWindowsIsCaught) {
+  ShardOptions o;
+  o.shards = 4;
+  ShardedSystem w(world_params(), 81, o);
+  drive_mixed_traffic(w, 82, 5);
+  ASSERT_TRUE(w.barrier_audit().ok()) << audit_messages(w.barrier_audit());
+
+  w.isp(3).user(2).account += Money::from_dollars(1.0);
+  const std::uint64_t checks = w.barrier_audit().checks;
+  drive_mixed_traffic(w, 83, 1);
+  ASSERT_GT(w.barrier_audit().checks, checks);
+
+  const BarrierAudit& a = w.barrier_audit();
+  EXPECT_GT(a.failures, 0u);
+  ASSERT_FALSE(a.messages.empty());
+  EXPECT_EQ(a.messages.front().rfind("real money created from nothing", 0),
+            0u)
+      << a.messages.front();
+  EXPECT_EQ(audit_messages(a).find("e-pennies"), std::string::npos);
+}
+
+// A write that bypasses the tracked columns leaves a running total stale;
+// the barrier (which trusts the totals) cannot see it, but the quiet-point
+// conservation check's full scan must, on both engine paths.
+TEST(ShardedBarrierAuditTest, QuietPointScanCatchesStaleRunningTotal) {
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    ShardOptions o;
+    o.shards = shards;
+    ShardedSystem w(world_params(), 91, o);
+    drive_mixed_traffic(w, 92, 5);
+    ASSERT_TRUE(w.conservation_holds()) << shards;
+
+    const Population& users = w.isp(6).users();
+    const_cast<EPenny*>(users.balances().data())[0] += 1;
+    EXPECT_FALSE(users.totals_agree()) << shards;
+    EXPECT_FALSE(w.conservation_holds()) << shards;
+    const_cast<EPenny*>(users.balances().data())[0] -= 1;
+    EXPECT_TRUE(w.conservation_holds()) << shards;
+
+    const_cast<Money*>(users.accounts().data())[2] += Money::from_cents(1);
+    EXPECT_FALSE(w.conservation_holds()) << shards;
+  }
 }
 
 }  // namespace
