@@ -21,7 +21,7 @@ void BM_SmtpTransfer(benchmark::State& state) {
       sample_message(static_cast<std::size_t>(state.range(0)));
   std::uint64_t delivered = 0;
   net::SmtpServerSession session(
-      "isp1.example", [&delivered](const net::EmailMessage&) { ++delivered; });
+      "isp1.example", [&delivered](net::EmailMessage&&) { ++delivered; });
   for (auto _ : state)
     benchmark::DoNotOptimize(net::smtp_transfer(msg, "isp0.example", session));
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));

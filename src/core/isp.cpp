@@ -330,32 +330,52 @@ void Isp::send_zombie_warning(UserId s) {
     u.quarantined = true;
 }
 
+void Isp::on_email(std::size_t from_isp, const net::EmailMessage& msg) {
+  if (wal_) log_on_email(from_isp, msg.serialize());
+  receive_email(from_isp, msg);
+}
+
 void Isp::on_email(std::size_t from_isp, const crypto::Bytes& payload) {
-  if (wal_) {
-    crypto::Bytes p;
-    crypto::put_u64(p, from_isp);
-    crypto::put_bytes(p, payload);
-    log_op(WalOp::kOnEmail, p);
-  }
-  auto msg = net::EmailMessage::deserialize(payload);
+  if (wal_) log_on_email(from_isp, payload);
+  const auto msg = net::EmailMessage::deserialize(payload);
   if (!msg) {
-    ++metrics_.bad_envelopes;
+    // The payload's own trace id is unreadable; the delivering datagram's
+    // causal context names the chain.
+    reject_envelope(trace::current());
     return;
   }
+  receive_email(from_isp, *msg);
+}
+
+void Isp::note_bad_envelope(std::uint64_t trace_id) {
+  log_op(WalOp::kNoteBadEnvelope);
+  reject_envelope(trace_id);
+}
+
+void Isp::reject_envelope(std::uint64_t trace_id) {
+  ++metrics_.bad_envelopes;
+  if (trace_id != 0) {
+    const auto h = static_cast<std::uint16_t>(index_);
+    trace::instant(trace::Ev::kReject, trace_id, h);
+    trace::end(trace::Ev::kMessage, trace_id, h);
+  }
+}
+
+void Isp::receive_email(std::size_t from_isp, const net::EmailMessage& msg) {
   // Resolve the recipient among our users.
   std::size_t rcpt_isp = 0, rcpt_user = 0;
-  if (msg->to.empty() ||
-      !net::decode_user_address(msg->to.front(), rcpt_isp, rcpt_user) ||
+  if (msg.to.empty() ||
+      !net::decode_user_address(msg.to.front(), rcpt_isp, rcpt_user) ||
       rcpt_isp != index_ || rcpt_user >= users_.size()) {
-    ++metrics_.bad_envelopes;
+    reject_envelope(msg.trace_id);
     return;
   }
 
   // Receive/classify span: covers payment accounting, policy, and the
   // delivery (or drop) decision for this message.
   std::optional<trace::SpanScope> classify;
-  if (msg->trace_id != 0)
-    classify.emplace(trace::Ev::kClassify, msg->trace_id,
+  if (msg.trace_id != 0)
+    classify.emplace(trace::Ev::kClassify, msg.trace_id,
                      static_cast<std::uint16_t>(index_));
 
   if (params_.is_compliant(from_isp)) {
@@ -365,8 +385,8 @@ void Isp::on_email(std::size_t from_isp, const crypto::Bytes& payload) {
     rcpt.lifetime_received_paid += 1;
     credit_.at(from_isp) -= 1;
     ++metrics_.emails_received_compliant;
-    deliver_locally(rcpt_user, *msg, 1, false);
-    maybe_generate_ack(rcpt_user, *msg);
+    deliver_locally(rcpt_user, msg, 1, false);
+    maybe_generate_ack(rcpt_user, msg);
     return;
   }
 
@@ -377,33 +397,33 @@ void Isp::on_email(std::size_t from_isp, const crypto::Bytes& payload) {
       users_.policy_or(rcpt_user, params_.noncompliant_policy);
   switch (policy) {
     case NonCompliantPolicy::kAccept:
-      deliver_locally(rcpt_user, *msg, 0, false);
+      deliver_locally(rcpt_user, msg, 0, false);
       break;
     case NonCompliantPolicy::kSegregate:
-      deliver_locally(rcpt_user, *msg, 0, true);
+      deliver_locally(rcpt_user, msg, 0, true);
       break;
     case NonCompliantPolicy::kDiscard:
       ++metrics_.emails_discarded;
-      if (msg->trace_id != 0) {
-        trace::instant(trace::Ev::kDiscard, msg->trace_id,
+      if (msg.trace_id != 0) {
+        trace::instant(trace::Ev::kDiscard, msg.trace_id,
                        static_cast<std::uint16_t>(index_));
-        trace::end(trace::Ev::kMessage, msg->trace_id,
+        trace::end(trace::Ev::kMessage, msg.trace_id,
                    static_cast<std::uint16_t>(index_));
       }
       break;
     case NonCompliantPolicy::kFilter:
       // "require any email from a non-compliant ISP to pass a spam filter".
       // Fail-open when no filter is installed.
-      if (filter_ && filter_(*msg)) {
+      if (filter_ && filter_(msg)) {
         ++metrics_.emails_filtered_out;
-        if (msg->trace_id != 0) {
-          trace::instant(trace::Ev::kFilterDrop, msg->trace_id,
+        if (msg.trace_id != 0) {
+          trace::instant(trace::Ev::kFilterDrop, msg.trace_id,
                          static_cast<std::uint16_t>(index_));
-          trace::end(trace::Ev::kMessage, msg->trace_id,
+          trace::end(trace::Ev::kMessage, msg.trace_id,
                      static_cast<std::uint16_t>(index_));
         }
       } else {
-        deliver_locally(rcpt_user, *msg, 0, false);
+        deliver_locally(rcpt_user, msg, 0, false);
       }
       break;
   }

@@ -95,9 +95,18 @@ class Isp {
                        net::EmailMessage msg);
 
   // --- Section 4.1: receiving (the `rcv email` action) ------------------
-  // `from_isp` is the sending ISP's index; payload is a serialized
-  // net::EmailMessage addressed to one of our users.
+  // `from_isp` is the sending ISP's index; `msg` is addressed to one of our
+  // users.  With a WAL attached the receive is logged as the kOnEmail record
+  // of msg.serialize().
+  void on_email(std::size_t from_isp, const net::EmailMessage& msg);
+  // The same receive for a serialized message (WAL replay, the federated
+  // facade): the bytes are logged as they are, then decoded; an undecodable
+  // payload counts as a bad envelope.
   void on_email(std::size_t from_isp, const crypto::Bytes& payload);
+  // A message that reached this ISP but could not be handed over (an
+  // undecodable payload, or one the SMTP dialogue refused): counted as a
+  // bad envelope, and its trace chain (`trace_id`, 0 = untraced) ends.
+  void note_bad_envelope(std::uint64_t trace_id);
 
   // --- Section 4.2: user <-> ISP e-penny trades --------------------------
   bool user_buy(UserId t, EPenny x);
@@ -238,6 +247,7 @@ class Isp {
     kNoteRetransmit,
     kNoteDupEmail,
     kSetMisbehavior,
+    kNoteBadEnvelope,
   };
   void attach_wal(store::WalSink* wal) noexcept { wal_ = wal; }
   store::WalSink* wal() const noexcept { return wal_; }
@@ -301,6 +311,10 @@ class Isp {
     std::uint64_t trace_id = 0;  // exchange's trace id; retries re-join it
   };
 
+  // The receive path shared by both on_email overloads (nothing logged).
+  void receive_email(std::size_t from_isp, const net::EmailMessage& msg);
+  // Counts a bad envelope and ends the message's trace chain.
+  void reject_envelope(std::uint64_t trace_id);
   void deliver_locally(UserId r, const net::EmailMessage& msg,
                        EPenny paid, bool junk);
   void transport_paid_email(std::size_t dest_isp, const net::EmailMessage& msg,
@@ -319,6 +333,7 @@ class Isp {
   // WAL logging helpers (no-ops when no sink is attached; isp_persist.cpp).
   void log_op(WalOp op);
   void log_op(WalOp op, const crypto::Bytes& payload);
+  void log_on_email(std::size_t from_isp, const crypto::Bytes& wire);
   void log_misbehavior(Misbehavior m);
   // Shared tail of both snapshot renditions: everything after the per-user
   // state (avail/till/credit, protocol flags, buffers, wires, metrics,

@@ -63,6 +63,13 @@ void Isp::log_op(WalOp op, const crypto::Bytes& payload) {
   if (wal_) wal_->append(static_cast<std::uint8_t>(op), payload);
 }
 
+void Isp::log_on_email(std::size_t from_isp, const crypto::Bytes& wire) {
+  crypto::Bytes p;
+  crypto::put_u64(p, from_isp);
+  crypto::put_bytes(p, wire);
+  log_op(WalOp::kOnEmail, p);
+}
+
 void Isp::log_misbehavior(Misbehavior m) {
   if (!wal_) return;
   crypto::Bytes p;
@@ -451,6 +458,9 @@ void Isp::apply_wal_record(std::uint8_t op, const crypto::Bytes& payload) {
       break;
     case WalOp::kNoteDupEmail:
       note_duplicate_email();
+      break;
+    case WalOp::kNoteBadEnvelope:
+      note_bad_envelope(0);
       break;
     case WalOp::kSetMisbehavior:
       set_misbehavior(static_cast<Misbehavior>(r.get_u8()));

@@ -1,5 +1,8 @@
 #include "core/system.hpp"
 
+#include <cerrno>
+#include <cstdlib>
+
 #include "core/telemetry_wiring.hpp"
 #include "trace/trace.hpp"
 #include "util/assert.hpp"
@@ -85,6 +88,7 @@ ZmailSystem::ZmailSystem(ZmailParams params, std::uint64_t seed,
   isps_.resize(params_.n_isps);
   isp_ctor_seed_.assign(params_.n_isps, 0);
   for (std::size_t i = 0; i < params_.n_isps; ++i) {
+    isp_domains_.push_back(net::isp_domain(i));
     // Partition-independent per-ISP seed: a function of (seed, i) only, so
     // ISP i starts identically whichever shard constructs it.
     isp_ctor_seed_[i] = seed * 0x5851F42D4C957F2DULL + i;
@@ -93,14 +97,14 @@ ZmailSystem::ZmailSystem(ZmailParams params, std::uint64_t seed,
       if (params_.is_compliant(i))
         isps_[i] = std::make_unique<Isp>(i, params_, bank_keys_.pub,
                                          isp_ctor_seed_[i]);
-      h = net_.add_host(net::isp_domain(i), [this, i](const net::Datagram& d) {
+      h = net_.add_host(isp_domains_[i], [this, i](const net::Datagram& d) {
         on_datagram(i, d);
       });
     } else {
-      h = net_.add_remote_host(net::isp_domain(i));
+      h = net_.add_remote_host(isp_domains_[i]);
     }
     ZMAIL_ASSERT(h == i);
-    net_.bind_domain(net::isp_domain(i), h);
+    net_.bind_domain(isp_domains_[i], h);
   }
   const net::HostId bh =
       owns_host(bank_host())
@@ -814,64 +818,87 @@ void ZmailSystem::pump_all() {
 
 void ZmailSystem::deliver_via_smtp(std::size_t to_isp, std::size_t from_isp,
                                    const crypto::Bytes& payload) {
-  // Reconstruct the message and play a real SMTP dialogue into the
-  // destination host, so every inter-ISP email exercises RFC-821 framing
-  // and the byte counters reflect true protocol overhead.
+  // One decode, then a real SMTP dialogue into the destination host (one
+  // render, one parse), so every inter-ISP email exercises RFC-821 framing
+  // and the byte counters reflect true protocol overhead; the parsed
+  // message is moved out of the session and handed to the ISP as is.
+  // The trace id is the delivering datagram's causal context, which a
+  // corrupted payload cannot rewrite.
+  const std::uint64_t trace_id = trace::current();
   auto msg = net::EmailMessage::deserialize(payload);
-  if (!msg) return;
+  if (!msg) {  // corrupted in transit (no checksum off the ARQ transport)
+    reject_email(to_isp, trace_id);
+    return;
+  }
 
-  trace::Scope tscope(msg->trace_id);
   std::optional<trace::SpanScope> smtp_span;
-  if (msg->trace_id != 0)
-    smtp_span.emplace(trace::Ev::kSmtp, msg->trace_id,
+  if (trace_id != 0)
+    smtp_span.emplace(trace::Ev::kSmtp, trace_id,
                       static_cast<std::uint16_t>(to_isp));
 
   std::optional<net::EmailMessage> received;
   net::SmtpServerSession session(
-      net::isp_domain(to_isp),
-      [&received](const net::EmailMessage& m) { received = m; });
+      isp_domains_[to_isp],
+      [&received](net::EmailMessage&& m) { received = std::move(m); });
   const net::SmtpTransferResult xfer =
-      net::smtp_transfer(*msg, net::isp_domain(from_isp), session);
+      net::smtp_transfer(*msg, isp_domains_[from_isp], session);
   smtp_bytes_in_.at(to_isp) +=
       xfer.bytes_client_to_server + xfer.bytes_server_to_client;
   if (smtp_span)
     smtp_span->set_end_arg0(xfer.bytes_client_to_server +
                             xfer.bytes_server_to_client);
-  if (!xfer.accepted || !received) return;
+  if (!xfer.accepted || !received) {
+    reject_email(to_isp, trace_id);
+    return;
+  }
 
-  // SMTP does not carry the simulation's ground-truth label — or the trace
-  // id, which lives in the serialized tail the dialogue re-parses away;
-  // restore both.
+  // SMTP does not carry the simulation's ground-truth label or the trace
+  // id; restore both.
   received->truth = msg->truth;
-  received->trace_id = msg->trace_id;
+  received->trace_id = trace_id;
 
   if (const auto stamp = received->header("X-Zmail-Sent-At")) {
-    try {
-      const auto sent_at = static_cast<sim::SimTime>(std::stoll(*stamp));
-      if (sent_at >= 0 && sent_at <= sim_.now()) {
-        latency_.add(sim::to_seconds(sim_.now() - sent_at));
-        if (telemetry_ && to_isp < telem_latency_.size())
-          telemetry_->observe(telem_latency_[to_isp],
-                              static_cast<std::uint64_t>(sim_.now() - sent_at));
-      }
-    } catch (...) {
-      // Foreign or corrupted stamp: not a latency sample.
+    // Read as std::stoll would (leading space, sign, trailing text ignored);
+    // a foreign or corrupted stamp is not a latency sample.
+    errno = 0;
+    char* end = nullptr;
+    const long long parsed = std::strtoll(stamp->c_str(), &end, 10);
+    const auto sent_at = static_cast<sim::SimTime>(parsed);
+    if (end != stamp->c_str() && errno != ERANGE && sent_at >= 0 &&
+        sent_at <= sim_.now()) {
+      latency_.add(sim::to_seconds(sim_.now() - sent_at));
+      if (telemetry_ && to_isp < telem_latency_.size())
+        telemetry_->observe(telem_latency_[to_isp],
+                            static_cast<std::uint64_t>(sim_.now() - sent_at));
     }
   }
 
   if (isps_[to_isp]) {
-    isps_[to_isp]->on_email(from_isp, received->serialize());
+    isps_[to_isp]->on_email(from_isp, *received);
     pump_isp(to_isp);  // acknowledgments may have been generated
   } else {
     ++legacy_[to_isp].stats.emails_received;
     if (received->truth == net::MailClass::kSpam)
       ++legacy_[to_isp].stats.emails_received_spam;
-    if (received->trace_id != 0) {
+    if (trace_id != 0) {
       const auto h = static_cast<std::uint16_t>(to_isp);
-      trace::instant(trace::Ev::kDeliver, received->trace_id, h, 0,
+      trace::instant(trace::Ev::kDeliver, trace_id, h, 0,
                      received->truth == net::MailClass::kSpam ? 1u : 0u);
-      trace::end(trace::Ev::kMessage, received->trace_id, h);
+      trace::end(trace::Ev::kMessage, trace_id, h);
     }
+  }
+}
+
+void ZmailSystem::reject_email(std::size_t to_isp, std::uint64_t trace_id) {
+  if (isps_[to_isp]) {
+    isps_[to_isp]->note_bad_envelope(trace_id);
+    return;
+  }
+  // A legacy host keeps no bad-envelope count; its chain still ends here.
+  if (trace_id != 0) {
+    const auto h = static_cast<std::uint16_t>(to_isp);
+    trace::instant(trace::Ev::kReject, trace_id, h);
+    trace::end(trace::Ev::kMessage, trace_id, h);
   }
 }
 

@@ -320,6 +320,8 @@ class ZmailSystem {
   void on_datagram(std::size_t host, const net::Datagram& d);
   void deliver_via_smtp(std::size_t to_isp, std::size_t from_isp,
                         const crypto::Bytes& payload);
+  // An email that reached `to_isp` but could not be handed over.
+  void reject_email(std::size_t to_isp, std::uint64_t trace_id);
   void pump_isp(std::size_t i);
   void pump_all();
   std::size_t bank_host() const noexcept { return params_.n_isps; }
@@ -356,6 +358,7 @@ class ZmailSystem {
   std::vector<LegacyHost> legacy_;               // indexed like isps_
   std::unique_ptr<Bank> bank_;
 
+  std::vector<std::string> isp_domains_;  // net::isp_domain(i), by slot
   std::vector<std::uint64_t> smtp_bytes_in_;
   Sample latency_;
   // Telemetry (null when off — the off path constructs and schedules

@@ -52,17 +52,25 @@ std::size_t EmailMessage::wire_size() const noexcept {
 }
 
 std::string EmailMessage::to_rfc822() const {
+  const auto append_addr = [](std::string& out, const EmailAddress& a) {
+    out.append(a.local).append(1, '@').append(a.domain);
+  };
+  std::size_t n = from.local.size() + from.domain.size() + body.size() + 17;
+  for (const auto& r : to) n += r.local.size() + r.domain.size() + 3;
+  for (const auto& [k, v] : headers) n += k.size() + v.size() + 4;
   std::string out;
-  out += "From: " + from.str() + "\r\n";
-  std::string tos;
+  out.reserve(n);
+  out.append("From: ");
+  append_addr(out, from);
+  out.append("\r\nTo: ");
   for (std::size_t i = 0; i < to.size(); ++i) {
-    if (i) tos += ", ";
-    tos += to[i].str();
+    if (i) out.append(", ");
+    append_addr(out, to[i]);
   }
-  out += "To: " + tos + "\r\n";
-  for (const auto& [k, v] : headers) out += k + ": " + v + "\r\n";
-  out += "\r\n";
-  out += body;
+  out.append("\r\n");
+  for (const auto& [k, v] : headers)
+    out.append(k).append(": ").append(v).append("\r\n");
+  out.append("\r\n").append(body);
   return out;
 }
 

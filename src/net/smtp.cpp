@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cstdlib>
+#include <optional>
 
 #include "util/assert.hpp"
 
@@ -10,8 +11,8 @@ namespace zmail::net {
 namespace {
 
 // Case-insensitive prefix match; returns the remainder after the prefix.
-std::optional<std::string> strip_prefix_ci(const std::string& line,
-                                           std::string_view prefix) {
+std::optional<std::string_view> strip_prefix_ci(std::string_view line,
+                                                std::string_view prefix) {
   if (line.size() < prefix.size()) return std::nullopt;
   for (std::size_t i = 0; i < prefix.size(); ++i)
     if (std::toupper(static_cast<unsigned char>(line[i])) !=
@@ -20,11 +21,99 @@ std::optional<std::string> strip_prefix_ci(const std::string& line,
   return line.substr(prefix.size());
 }
 
-std::string trim(const std::string& s) {
+// A whole verb: the prefix followed by a space or the end of the line, so
+// "QUITTING" is not QUIT.  Returns the remainder after the verb.
+std::optional<std::string_view> match_verb(std::string_view line,
+                                           std::string_view verb) {
+  auto rest = strip_prefix_ci(line, verb);
+  if (rest && !rest->empty() && rest->front() != ' ') return std::nullopt;
+  return rest;
+}
+
+std::string_view trim(std::string_view s) {
   std::size_t b = 0, e = s.size();
   while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
   while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
   return s.substr(b, e - b);
+}
+
+void append_path(std::string& out, const EmailAddress& a) {
+  out.append(1, '<').append(a.local).append(1, '@').append(a.domain);
+  out.append(1, '>');
+}
+
+// Splits un-stuffed DATA text into headers and body; every line of `text`,
+// the last included, must end in '\n'.  The text buffer becomes the body,
+// so the body is never copied.
+EmailMessage parse_data(EmailAddress envelope_from,
+                        std::vector<EmailAddress> envelope_to,
+                        std::string text) {
+  EmailMessage msg;
+  msg.from = std::move(envelope_from);
+  msg.to = std::move(envelope_to);
+  std::size_t pos = 0;
+  while (pos < text.size()) {
+    const std::size_t nl = text.find('\n', pos);
+    const std::string_view line(text.data() + pos, nl - pos);
+    pos = nl + 1;
+    if (line.empty()) break;
+    const std::size_t colon = line.find(':');
+    if (colon == std::string_view::npos) continue;  // tolerate malformed
+    const std::string_view key = trim(line.substr(0, colon));
+    // From:/To: duplicate the envelope in this simulation; keep the rest.
+    if (key == "From" || key == "To") continue;
+    msg.headers.emplace_back(key, trim(line.substr(colon + 1)));
+  }
+  text.erase(0, pos);
+  if (!text.empty()) text.pop_back();  // the last line's '\n'
+  msg.body = std::move(text);
+  return msg;
+}
+
+// Plays the client half of one transfer: calls `send(line)` for every line
+// a client sends, HELO through QUIT, and stops as soon as `send` returns
+// false.  The message is rendered once and walked as views split at CRLF or
+// bare LF (a final unterminated line counts, a final empty one does not);
+// only a line that needs dot-stuffing is copied, into one reused buffer.
+template <class Send>
+void play_client_script(const EmailMessage& msg,
+                        std::string_view client_domain, Send&& send) {
+  std::string line;
+  line.assign("HELO ").append(client_domain);
+  if (!send(std::string_view(line))) return;
+  line.assign("MAIL FROM:");
+  append_path(line, msg.from);
+  if (!send(std::string_view(line))) return;
+  for (const auto& r : msg.to) {
+    line.assign("RCPT TO:");
+    append_path(line, r);
+    if (!send(std::string_view(line))) return;
+  }
+  if (!send(std::string_view("DATA"))) return;
+
+  const std::string text = msg.to_rfc822();
+  const std::string_view rest(text);
+  std::size_t pos = 0;
+  while (pos < rest.size()) {
+    const std::size_t nl = rest.find('\n', pos);
+    std::string_view view;
+    if (nl == std::string_view::npos) {
+      view = rest.substr(pos);
+      pos = rest.size();
+    } else {
+      view = rest.substr(pos, nl - pos);
+      pos = nl + 1;
+      if (!view.empty() && view.back() == '\r') view.remove_suffix(1);
+    }
+    if (!view.empty() && view.front() == '.') {
+      line.assign(1, '.').append(view);  // dot-stuffing
+      view = line;
+    }
+    if (!send(view)) return;
+  }
+
+  if (!send(std::string_view("."))) return;
+  send(std::string_view("QUIT"));
 }
 
 }  // namespace
@@ -42,26 +131,26 @@ SmtpReply SmtpServerSession::greeting() const {
 void SmtpServerSession::reset_transaction() {
   envelope_from_ = {};
   envelope_to_.clear();
-  data_lines_.clear();
+  data_.clear();
   data_bytes_ = 0;
   if (state_ != State::kConnected) state_ = State::kGreeted;
 }
 
-SmtpReply SmtpServerSession::consume_line(const std::string& line) {
+SmtpReply SmtpServerSession::consume_line(std::string_view line) {
   if (state_ == State::kData) {
     if (line == ".") {
-      EmailMessage msg =
-          parse_rfc822(envelope_from_, envelope_to_, data_lines_);
-      deliver_(msg);
+      deliver_(parse_data(std::move(envelope_from_), std::move(envelope_to_),
+                          std::move(data_)));
       ++accepted_;
       reset_transaction();
       return {250, "OK"};
     }
     // Reverse dot-stuffing: a leading ".." becomes ".".
     if (line.size() >= 2 && line[0] == '.' && line[1] == '.')
-      data_lines_.push_back(line.substr(1));
+      data_.append(line.substr(1));
     else
-      data_lines_.push_back(line);
+      data_.append(line);
+    data_ += '\n';
     data_bytes_ += line.size() + 2;
     if (max_size_ > 0 && data_bytes_ > max_size_) {
       reset_transaction();
@@ -72,28 +161,30 @@ SmtpReply SmtpServerSession::consume_line(const std::string& line) {
   return handle_command(line);
 }
 
-SmtpReply SmtpServerSession::handle_command(const std::string& line) {
-  if (auto rest = strip_prefix_ci(line, "HELO");
-      rest || (rest = strip_prefix_ci(line, "EHLO"))) {
-    if (trim(*rest).empty()) return {501, "Syntax: HELO hostname"};
+SmtpReply SmtpServerSession::handle_command(std::string_view line) {
+  if (auto rest = match_verb(line, "HELO");
+      rest || (rest = match_verb(line, "EHLO"))) {
+    const std::string_view host = trim(*rest);
+    if (host.empty()) return {501, "Syntax: HELO hostname"};
     reset_transaction();
     state_ = State::kGreeted;
-    return {250, domain_ + " Hello " + trim(*rest)};
+    return {250, std::string(domain_).append(" Hello ").append(host)};
   }
   if (auto rest = strip_prefix_ci(line, "MAIL FROM:")) {
     if (state_ == State::kConnected) return {503, "Polite people say HELO first"};
     if (state_ != State::kGreeted) return {503, "Nested MAIL command"};
     // Optional RFC-1870 SIZE parameter: "MAIL FROM:<a@b> SIZE=12345".
-    std::string spec = trim(*rest);
+    std::string_view spec = trim(*rest);
     const std::size_t space = spec.find(' ');
-    if (space != std::string::npos) {
-      const std::string param = trim(spec.substr(space + 1));
+    if (space != std::string_view::npos) {
+      const std::string_view param = trim(spec.substr(space + 1));
       spec = spec.substr(0, space);
       if (auto size = strip_prefix_ci(param, "SIZE=")) {
+        const std::string digits(*size);  // strtoull needs a terminator
         char* end = nullptr;
         const unsigned long long declared =
-            std::strtoull(size->c_str(), &end, 10);
-        if (end == size->c_str() || *end != '\0')
+            std::strtoull(digits.c_str(), &end, 10);
+        if (end == digits.c_str() || *end != '\0')
           return {501, "Bad SIZE parameter"};
         if (max_size_ > 0 && declared > max_size_)
           return {552, "Message size exceeds fixed maximum"};
@@ -103,7 +194,7 @@ SmtpReply SmtpServerSession::handle_command(const std::string& line) {
     }
     auto addr = parse_path(spec);
     if (!addr) return {501, "Syntax error in MAIL FROM path"};
-    envelope_from_ = *addr;
+    envelope_from_ = std::move(*addr);
     state_ = State::kMailFrom;
     return {250, "OK"};
   }
@@ -114,12 +205,12 @@ SmtpReply SmtpServerSession::handle_command(const std::string& line) {
     if (!addr) return {501, "Syntax error in RCPT TO path"};
     if (verify_ && addr->domain == domain_ && !verify_(*addr))
       return {550, "No such user here"};
-    envelope_to_.push_back(*addr);
+    envelope_to_.push_back(std::move(*addr));
     state_ = State::kRcptTo;
     return {250, "OK"};
   }
-  if (auto rest = strip_prefix_ci(line, "VRFY")) {
-    const std::string who = trim(*rest);
+  if (auto rest = match_verb(line, "VRFY")) {
+    const std::string_view who = trim(*rest);
     if (who.empty()) return {501, "VRFY needs an address"};
     const auto addr = parse_address(who);
     if (!addr) return {501, "Syntax error in address"};
@@ -127,21 +218,21 @@ SmtpReply SmtpServerSession::handle_command(const std::string& line) {
     return verify_(*addr) ? SmtpReply{250, addr->str()}
                           : SmtpReply{550, "No such user here"};
   }
-  if (strip_prefix_ci(line, "HELP")) {
+  if (match_verb(line, "HELP")) {
     return {214, "Commands: HELO MAIL RCPT DATA RSET NOOP VRFY HELP QUIT"};
   }
-  if (strip_prefix_ci(line, "DATA") && trim(line).size() == 4) {
+  if (auto rest = strip_prefix_ci(line, "DATA"); rest && trim(*rest).empty()) {
     if (state_ != State::kRcptTo)
       return {503, "Need RCPT before DATA"};
     state_ = State::kData;
     return {354, "Start mail input; end with <CRLF>.<CRLF>"};
   }
-  if (strip_prefix_ci(line, "RSET") && trim(line).size() == 4) {
+  if (auto rest = strip_prefix_ci(line, "RSET"); rest && trim(*rest).empty()) {
     reset_transaction();
     return {250, "OK"};
   }
-  if (strip_prefix_ci(line, "NOOP")) return {250, "OK"};
-  if (strip_prefix_ci(line, "QUIT")) {
+  if (match_verb(line, "NOOP")) return {250, "OK"};
+  if (match_verb(line, "QUIT")) {
     quit_ = true;
     return {221, domain_ + " Service closing transmission channel"};
   }
@@ -149,96 +240,50 @@ SmtpReply SmtpServerSession::handle_command(const std::string& line) {
 }
 
 std::vector<std::string> smtp_client_script(const EmailMessage& msg,
-                                            const std::string& client_domain) {
+                                            std::string_view client_domain) {
   std::vector<std::string> lines;
-  lines.push_back("HELO " + client_domain);
-  lines.push_back("MAIL FROM:<" + msg.from.str() + ">");
-  for (const auto& r : msg.to) lines.push_back("RCPT TO:<" + r.str() + ">");
-  lines.push_back("DATA");
-
-  // Render headers + body as individual lines with dot-stuffing.
-  std::string text = msg.to_rfc822();
-  std::string current;
-  auto flush = [&]() {
-    if (!current.empty() && current[0] == '.')
-      lines.push_back("." + current);  // dot-stuffing
-    else
-      lines.push_back(current);
-    current.clear();
-  };
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    if (text[i] == '\r' && i + 1 < text.size() && text[i + 1] == '\n') {
-      flush();
-      ++i;
-    } else if (text[i] == '\n') {
-      flush();
-    } else {
-      current += text[i];
-    }
-  }
-  if (!current.empty()) flush();
-
-  lines.push_back(".");
-  lines.push_back("QUIT");
+  play_client_script(msg, client_domain, [&lines](std::string_view line) {
+    lines.emplace_back(line);
+    return true;
+  });
   return lines;
 }
 
 SmtpTransferResult smtp_transfer(const EmailMessage& msg,
-                                 const std::string& client_domain,
+                                 std::string_view client_domain,
                                  SmtpServerSession& server) {
   SmtpTransferResult result;
   const SmtpReply greet = server.greeting();
-  result.bytes_server_to_client += greet.line().size();
+  result.bytes_server_to_client += greet.wire_size();
   if (!greet.positive()) {
     result.first_error_code = greet.code;
     return result;
   }
 
   bool data_accepted = false;
-  for (const auto& line : smtp_client_script(msg, client_domain)) {
+  play_client_script(msg, client_domain, [&](std::string_view line) {
     result.bytes_client_to_server += line.size() + 2;  // + CRLF
     const SmtpReply reply = server.consume_line(line);
-    if (reply.code == 0) continue;  // swallowed data line
-    result.bytes_server_to_client += reply.line().size();
+    if (reply.code == 0) return true;  // swallowed data line
+    result.bytes_server_to_client += reply.wire_size();
     if (!reply.positive()) {
-      if (result.first_error_code == 0) result.first_error_code = reply.code;
-      return result;
+      result.first_error_code = reply.code;  // the dialogue stops here
+      return false;
     }
     if (line == "." && reply.code == 250) data_accepted = true;
-  }
-  result.accepted = data_accepted;
+    return true;
+  });
+  // Accepted only when the whole dialogue succeeded, QUIT included.
+  result.accepted = data_accepted && result.first_error_code == 0;
   return result;
 }
 
 EmailMessage parse_rfc822(const EmailAddress& envelope_from,
                           const std::vector<EmailAddress>& envelope_to,
                           const std::vector<std::string>& lines) {
-  EmailMessage msg;
-  msg.from = envelope_from;
-  msg.to = envelope_to;
-  std::size_t i = 0;
-  for (; i < lines.size(); ++i) {
-    const std::string& line = lines[i];
-    if (line.empty()) {
-      ++i;
-      break;
-    }
-    const std::size_t colon = line.find(':');
-    if (colon == std::string::npos) continue;  // tolerate malformed headers
-    std::string key = trim(line.substr(0, colon));
-    std::string value = trim(line.substr(colon + 1));
-    // From:/To: duplicate the envelope in this simulation; keep the rest.
-    if (key == "From" || key == "To") continue;
-    msg.headers.emplace_back(std::move(key), std::move(value));
-  }
-  std::string body;
-  for (; i < lines.size(); ++i) {
-    body += lines[i];
-    body += '\n';
-  }
-  if (!body.empty() && body.back() == '\n') body.pop_back();
-  msg.body = std::move(body);
-  return msg;
+  std::string text;
+  for (const auto& line : lines) text.append(line).append(1, '\n');
+  return parse_data(envelope_from, envelope_to, std::move(text));
 }
 
 }  // namespace zmail::net

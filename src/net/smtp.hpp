@@ -5,11 +5,16 @@
 // MAIL FROM / RCPT TO / DATA / RSET / NOOP / QUIT with correct reply codes
 // and dot-stuffing, and a client that drives a complete transfer.  ISP hosts
 // in the simulation exchange mail through these sessions, byte-for-byte.
+//
+// One pass per transfer: the client renders the message once and walks the
+// text as line views (only a dot-stuffed line is copied, into one reused
+// buffer); the server appends DATA lines into one buffer and parses it once
+// at the terminating "."; the parsed message is moved to the callback.
 #pragma once
 
 #include <functional>
-#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/email.hpp"
@@ -21,8 +26,11 @@ struct SmtpReply {
   int code = 0;
   std::string text;
 
-  std::string line() const {
-    return std::to_string(code) + " " + text + "\r\n";
+  // Bytes of the reply line on the wire: "<code> <text>\r\n".
+  std::size_t wire_size() const noexcept {
+    std::size_t digits = 1;
+    for (int c = code; c >= 10; c /= 10) ++digits;
+    return digits + 1 + text.size() + 2;
   }
   bool positive() const noexcept { return code >= 200 && code < 400; }
 };
@@ -31,7 +39,7 @@ struct SmtpReply {
 // completed messages through the callback.
 class SmtpServerSession {
  public:
-  using DeliverFn = std::function<void(const EmailMessage&)>;
+  using DeliverFn = std::function<void(EmailMessage&&)>;
   // Optional address validator for VRFY and RCPT (nullptr accepts all).
   using VerifyFn = std::function<bool(const EmailAddress&)>;
 
@@ -51,8 +59,11 @@ class SmtpServerSession {
 
   // Processes one CRLF-terminated line (without the CRLF).  During DATA,
   // lines are message content until the lone "." terminator; the returned
-  // reply is empty (code 0) for swallowed data lines.
-  SmtpReply consume_line(const std::string& line);
+  // reply is empty (code 0) for swallowed data lines.  A bare LF inside a
+  // DATA line ends a message line, as it does in the client's line walker.
+  // Verbs are matched whole: HELO/EHLO/VRFY/HELP/NOOP/QUIT must be followed
+  // by a space or the end of the line.
+  SmtpReply consume_line(std::string_view line);
 
   bool quit_received() const noexcept { return quit_; }
   std::uint64_t messages_accepted() const noexcept { return accepted_; }
@@ -60,27 +71,28 @@ class SmtpServerSession {
  private:
   enum class State { kConnected, kGreeted, kMailFrom, kRcptTo, kData };
 
-  SmtpReply handle_command(const std::string& line);
+  SmtpReply handle_command(std::string_view line);
   void reset_transaction();
 
   std::string domain_;
   DeliverFn deliver_;
   VerifyFn verify_;
   std::size_t max_size_ = 0;
-  std::size_t data_bytes_ = 0;
+  std::size_t data_bytes_ = 0;  // DATA bytes as sent (stuffed, with CRLF)
   State state_ = State::kConnected;
   bool quit_ = false;
   std::uint64_t accepted_ = 0;
 
   EmailAddress envelope_from_;
   std::vector<EmailAddress> envelope_to_;
-  std::vector<std::string> data_lines_;
+  std::string data_;  // un-stuffed DATA lines, each ending in '\n'
 };
 
-// Client-side: renders a message as the exact line sequence a client would
-// send (HELO..QUIT), with dot-stuffing applied to the body.
+// Client-side: the exact line sequence a client sends (HELO..QUIT), with
+// dot-stuffing applied to the message text.  The same walker drives
+// smtp_transfer.
 std::vector<std::string> smtp_client_script(const EmailMessage& msg,
-                                            const std::string& client_domain);
+                                            std::string_view client_domain);
 
 // Runs a full in-memory SMTP dialogue: plays the client script against the
 // server session, checking reply codes.  Returns the transcript size in
@@ -93,10 +105,11 @@ struct SmtpTransferResult {
 };
 
 SmtpTransferResult smtp_transfer(const EmailMessage& msg,
-                                 const std::string& client_domain,
+                                 std::string_view client_domain,
                                  SmtpServerSession& server);
 
-// Parses a completed RFC-822 text back into headers/body (used by tests).
+// Parses the (un-stuffed) DATA lines of one transaction into headers/body,
+// through the same parser the server session uses.
 EmailMessage parse_rfc822(const EmailAddress& envelope_from,
                           const std::vector<EmailAddress>& envelope_to,
                           const std::vector<std::string>& lines);

@@ -15,6 +15,7 @@ bool is_terminal(Ev e) noexcept {
     case Ev::kRefuse:
     case Ev::kShed:
     case Ev::kRefund:
+    case Ev::kReject:
       return true;
     default:
       return false;

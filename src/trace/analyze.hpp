@@ -54,7 +54,8 @@ struct Chain {
   bool root_closed = false;        // saw the matching kMessage end
   bool lost = false;     // last word was a kNetDrop: closed-by-loss
   Ev terminal = Ev::kNone;  // kDeliver/kDiscard/kFilterDrop/kRefuse/kShed/
-                            // kRefund when the chain reached a terminal
+                            // kRefund/kReject when the chain reached a
+                            // terminal
   std::uint32_t transmits = 0;  // kTransmit instants (ARQ attempts)
 };
 

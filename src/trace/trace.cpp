@@ -34,6 +34,7 @@ const char* ev_name(Ev e) noexcept {
     case Ev::kDuplicateDrop: return "duplicate_drop";
     case Ev::kRefund: return "refund";
     case Ev::kAck: return "ack";
+    case Ev::kReject: return "reject";
     case Ev::kBankBuy: return "bank_buy";
     case Ev::kBankSell: return "bank_sell";
     case Ev::kCreditReport: return "credit_report";

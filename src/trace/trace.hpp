@@ -75,6 +75,8 @@ enum class Ev : std::uint8_t {
   kDuplicateDrop,  // instant: receiver-side ARQ dedupe absorbed a copy
   kRefund,         // instant terminal: transfer abandoned, payment undone
   kAck,            // instant: ARQ ack reached the sender
+  kReject,         // instant terminal: the receiver could not decode, route
+                   //       or accept it over SMTP (counted as a bad envelope)
   // --- bank / settlement ---------------------------------------------------
   kBankBuy,        // span: ISP->bank buy exchange (arg0 = e-pennies)
   kBankSell,       // span: ISP->bank sell exchange (arg0 = e-pennies)

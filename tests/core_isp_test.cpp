@@ -745,6 +745,65 @@ TEST_F(IspTest, RunningTotalsSurviveCrashAndRecover) {
   EXPECT_EQ(recovered.users().account_total(), isp_.users().account_total());
 }
 
+// The message overload is the serialized overload minus the decode: both
+// leave the same state, inboxes and outbox, and write byte-identical WAL
+// records, which replay to the same state after a crash.
+TEST_F(IspTest, OnEmailMessageAndBytesOverloadsAgree) {
+  net::EmailMessage list = mail(1, 0, 0, 2, net::MailClass::kMailingList);
+  list.set_header("X-Zmail-Ack-To", net::make_user_address(1, 0).str());
+  net::EmailMessage traced = mail(2, 1, 0, 1);
+  traced.trace_id = 0xABCDEF;  // the serialized tail must match too
+  const std::vector<std::pair<std::size_t, net::EmailMessage>> inputs = {
+      {1, mail(1, 0, 0, 2)},
+      {2, mail(2, 1, 0, 3, net::MailClass::kSpam)},
+      {1, list},
+      {2, traced},
+      {1, mail(1, 0, 2, 1)},  // misrouted: a bad envelope
+  };
+
+  Isp by_msg(0, params_, keys_.pub, 42);
+  Isp by_bytes(0, params_, keys_.pub, 42);
+  const crypto::Bytes checkpoint = by_msg.serialize_state();
+  MemoryWal wal_msg, wal_bytes;
+  by_msg.attach_wal(&wal_msg);
+  by_bytes.attach_wal(&wal_bytes);
+  for (const auto& [from, m] : inputs) {
+    by_msg.on_email(from, m);
+    by_bytes.on_email(from, m.serialize());
+  }
+  by_msg.note_bad_envelope(0);
+  by_bytes.note_bad_envelope(0);
+
+  EXPECT_EQ(by_msg.serialize_state(), by_bytes.serialize_state());
+  EXPECT_EQ(by_msg.metrics().bad_envelopes, 2u);
+  EXPECT_EQ(by_msg.metrics().acks_generated, 1u);
+  ASSERT_EQ(wal_msg.records.size(), inputs.size() + 1);
+  EXPECT_EQ(wal_msg.records, wal_bytes.records);
+  for (std::size_t u = 0; u < params_.users_per_isp; ++u) {
+    ASSERT_EQ(by_msg.inbox(u).size(), by_bytes.inbox(u).size());
+    for (std::size_t k = 0; k < by_msg.inbox(u).size(); ++k) {
+      const Delivery& a = by_msg.inbox(u)[k];
+      const Delivery& b = by_bytes.inbox(u)[k];
+      EXPECT_EQ(a.msg.serialize(), b.msg.serialize());
+      EXPECT_EQ(a.paid, b.paid);
+      EXPECT_EQ(a.junk, b.junk);
+    }
+  }
+  const auto out_msg = by_msg.take_outbox();
+  const auto out_bytes = by_bytes.take_outbox();
+  ASSERT_EQ(out_msg.size(), 1u);  // the list message's acknowledgment
+  ASSERT_EQ(out_bytes.size(), 1u);
+  EXPECT_EQ(out_msg[0].payload, out_bytes[0].payload);
+
+  // Crash: replaying the message overload's WAL rebuilds its state.
+  Isp recovered(0, params_, keys_.pub, 7);
+  ASSERT_TRUE(recovered.restore_state(checkpoint));
+  for (const auto& [op, payload] : wal_msg.records)
+    recovered.apply_wal_record(op, payload);
+  EXPECT_EQ(recovered.serialize_state(), by_msg.serialize_state());
+  expect_totals_agree(recovered);
+}
+
 TEST(SendResultNames, AllDistinct) {
   EXPECT_STREQ(send_result_name(SendResult::kSentPaid), "sent-paid");
   EXPECT_STREQ(send_result_name(SendResult::kBuffered), "buffered");

@@ -4,6 +4,10 @@
 
 #include <type_traits>
 
+#include "net/faults.hpp"
+#include "trace/analyze.hpp"
+#include "trace/trace.hpp"
+
 namespace zmail::core {
 namespace {
 
@@ -230,6 +234,62 @@ TEST(System, QuiesceBufferingShowsUpInLatency) {
   // ~9 minutes of buffer time.
   EXPECT_GT(sys.delivery_latency().max(), 8.0 * 60.0);
   EXPECT_LT(sys.delivery_latency().max(), 10.0 * 60.0);
+}
+
+// A corrupt fault on the plain (non-ARQ) transport flips one payload bit.
+// The receiver then delivers the message, or counts a bad envelope and ends
+// the message's trace chain: no email vanishes silently.
+TEST(System, CorruptedMailIsCountedAndItsChainEnds) {
+  trace::set_enabled(false);
+  trace::clear();
+  trace::set_enabled(true);
+
+  ZmailParams p = two_isps();
+  p.initial_user_balance = 100;
+  p.default_daily_limit = 1000;
+  ZmailSystem sys(p, 21);
+  net::FaultPlan plan;
+  plan.rates.corrupt = 0.5;
+  plan.only_types = {kMsgEmail};
+  net::FaultInjector faults(plan, 5);
+  sys.attach_faults(&faults);
+
+  std::uint64_t sent = 0, refused = 0;
+  for (int i = 0; i < 150; ++i) {
+    const SendOutcome r =
+        sys.send_email(user(i % 2, i % 3), user((i + 1) % 2, (i + 2) % 3),
+                       "subject " + std::to_string(i), "body\nline " +
+                                                           std::to_string(i));
+    if (r == SendResult::kSentPaid)
+      ++sent;
+    else
+      ++refused;
+  }
+  sys.run_for(sim::kHour);
+  const auto events = trace::collect();
+  trace::set_enabled(false);
+  trace::clear();
+
+  const IspMetrics m = sys.total_isp_metrics();
+  EXPECT_GT(faults.counters().corrupted, 20u);
+  EXPECT_GT(m.bad_envelopes, 0u);
+  EXPECT_EQ(refused, 0u);
+  EXPECT_EQ(m.emails_refunded, 0u);
+  // Every send: delivered, refused, refunded or a bad envelope.
+  EXPECT_EQ(m.emails_delivered + m.bad_envelopes + refused + m.emails_refunded,
+            sent + refused);
+
+  // Every message chain reached a terminal and closed its root span.
+  std::size_t rejected = 0;
+  for (const auto& [id, c] : trace::build_chains(events)) {
+    if (!c.has_root) continue;
+    EXPECT_TRUE(c.root_closed) << "open chain 0x" << std::hex << id;
+    EXPECT_NE(c.terminal, trace::Ev::kNone) << "chain 0x" << std::hex << id;
+    if (c.terminal == trace::Ev::kReject) ++rejected;
+  }
+  EXPECT_EQ(rejected, m.bad_envelopes);
+  const trace::ValidationResult v = trace::validate(events);
+  EXPECT_TRUE(v.ok) << (v.problems.empty() ? "" : v.problems.front());
 }
 
 TEST(SendOutcome, CarriesResultAndPerRecipientCounts) {

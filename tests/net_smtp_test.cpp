@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <utility>
+
 #include "util/rng.hpp"
 
 namespace zmail::net {
@@ -209,6 +213,210 @@ TEST_F(SmtpTest, OversizedDataAborted552) {
   EXPECT_EQ(delivered_.size(), 0u);
   // The session recovers for the next transaction.
   EXPECT_EQ(session_.consume_line("MAIL FROM:<a@b.c>").code, 250);
+}
+
+// --- Verb tokenizing --------------------------------------------------------
+
+// HELO/EHLO/VRFY/HELP/NOOP/QUIT are whole words: a space or the end of the
+// line must follow, so "HELOevil.example" is not a greeting and "QUITTING"
+// does not close the session.
+TEST(SmtpVerbs, VerbMustEndAtSpaceOrEndOfLine) {
+  struct Case {
+    const char* line;
+    int code;
+  };
+  static const Case kCases[] = {
+      {"HELO evil.example", 250}, {"HELOevil.example", 500},
+      {"EHLO evil.example", 250}, {"EHLOevil.example", 500},
+      {"VRFY a@b.c", 252},        {"VRFYa@b.c", 500},
+      {"HELP", 214},              {"HELP DATA", 214},
+      {"HELPME", 500},            {"NOOP", 250},
+      {"NOOP anything", 250},     {"NOOPS", 500},
+      {"QUIT", 221},              {"QUIT now", 221},
+      {"QUITTING", 500},
+  };
+  for (const Case& c : kCases) {
+    SmtpServerSession session("isp1.example", [](EmailMessage&&) {});
+    const SmtpReply r = session.consume_line(c.line);
+    EXPECT_EQ(r.code, c.code) << c.line;
+    EXPECT_EQ(session.quit_received(), c.code == 221) << c.line;
+  }
+}
+
+TEST(SmtpVerbs, GluedHeloDoesNotGreet) {
+  SmtpServerSession session("isp1.example", [](EmailMessage&&) {});
+  EXPECT_EQ(session.consume_line("HELOevil.example").code, 500);
+  EXPECT_EQ(session.consume_line("MAIL FROM:<a@b.c>").code, 503);
+  const SmtpReply r = session.consume_line("HELO good.example");
+  EXPECT_EQ(r.code, 250);
+  EXPECT_EQ(r.text, "isp1.example Hello good.example");
+}
+
+// --- Golden transcripts -----------------------------------------------------
+
+// Pinned from the original dialogue, which split the rendered message into a
+// vector of line strings: the one-pass client and server must reproduce its
+// byte counts, first error, delivered message and client script exactly.
+struct GoldenDelivered {
+  std::vector<std::string> to;
+  std::vector<std::pair<std::string, std::string>> headers;
+  std::string body;
+};
+
+struct Golden {
+  const char* name;
+  EmailMessage msg;
+  std::size_t max_size = 0;  // 0 = unlimited
+  bool verifier = false;     // accept only local part "u2"
+  std::size_t c2s = 0;
+  std::size_t s2c = 0;
+  int first_error = 0;
+  std::vector<std::string> script;
+  std::optional<GoldenDelivered> delivered;
+};
+
+EmailMessage golden_message(std::string body) {
+  EmailMessage m;
+  m.from = addr("u1@isp0.example");
+  m.to.push_back(addr("u2@isp1.example"));
+  m.set_header("Subject", "golden");
+  m.set_header("Message-ID", "<42@isp0.example>");
+  m.set_header("X-Zmail-Sent-At", "1000");
+  m.body = std::move(body);
+  return m;
+}
+
+std::vector<std::string> golden_script(std::vector<std::string> rcpts,
+                                       std::vector<std::string> tail) {
+  std::vector<std::string> s = {"HELO isp0.example",
+                                "MAIL FROM:<u1@isp0.example>"};
+  std::string to_header = "To: ";
+  for (std::size_t i = 0; i < rcpts.size(); ++i) {
+    s.push_back("RCPT TO:<" + rcpts[i] + ">");
+    to_header += (i ? ", " : "") + rcpts[i];
+  }
+  s.insert(s.end(), {"DATA", "From: u1@isp0.example", to_header,
+                     "Subject: golden", "Message-ID: <42@isp0.example>",
+                     "X-Zmail-Sent-At: 1000"});
+  s.insert(s.end(), tail.begin(), tail.end());
+  return s;
+}
+
+const std::vector<std::pair<std::string, std::string>> kGoldenHeaders = {
+    {"Subject", "golden"},
+    {"Message-ID", "<42@isp0.example>"},
+    {"X-Zmail-Sent-At", "1000"}};
+
+std::vector<Golden> golden_cases() {
+  const std::vector<std::string> u2 = {"u2@isp1.example"};
+  std::vector<Golden> v;
+  v.push_back({"dot_lines", golden_message(".leading dot\n.\n..two dots\nplain"),
+               0, false, 246, 215, 0,
+               golden_script(u2, {"", "..leading dot", "..", "...two dots",
+                                  "plain", ".", "QUIT"}),
+               GoldenDelivered{u2, kGoldenHeaders,
+                               ".leading dot\n.\n..two dots\nplain"}});
+  v.push_back({"bare_lf", golden_message("line one\nline two\n"), 0, false,
+               227, 215, 0,
+               golden_script(u2, {"", "line one", "line two", ".", "QUIT"}),
+               GoldenDelivered{u2, kGoldenHeaders, "line one\nline two"}});
+  v.push_back({"crlf", golden_message("line one\r\nline two\r\n\r\nafter blank"),
+               0, false, 242, 215, 0,
+               golden_script(u2, {"", "line one", "line two", "",
+                                  "after blank", ".", "QUIT"}),
+               GoldenDelivered{u2, kGoldenHeaders,
+                               "line one\nline two\n\nafter blank"}});
+  v.push_back({"no_trailing_newline", golden_message("only line"), 0, false,
+               218, 215, 0,
+               golden_script(u2, {"", "only line", ".", "QUIT"}),
+               GoldenDelivered{u2, kGoldenHeaders, "only line"}});
+  v.push_back({"empty_body", golden_message(""), 0, false, 207, 215, 0,
+               golden_script(u2, {"", ".", "QUIT"}),
+               GoldenDelivered{u2, kGoldenHeaders, ""}});
+  {
+    EmailMessage m = golden_message("hi both");
+    m.to.push_back(addr("u3@isp1.example"));
+    const std::vector<std::string> both = {"u2@isp1.example",
+                                           "u3@isp1.example"};
+    v.push_back({"two_recipients", std::move(m), 0, false, 260, 223, 0,
+                 golden_script(both, {"", "hi both", ".", "QUIT"}),
+                 GoldenDelivered{both, kGoldenHeaders, "hi both"}});
+  }
+  {
+    // A header value with an embedded newline puts a colon-less line into
+    // the header block; the parser skips it.
+    EmailMessage m = golden_message("b");
+    m.set_header("X-Note", "first\nno colon here");
+    auto headers = kGoldenHeaders;
+    headers.emplace_back("X-Note", "first");
+    v.push_back({"header_without_colon", std::move(m), 0, false, 240, 215, 0,
+                 golden_script(u2, {"X-Note: first", "no colon here", "", "b",
+                                    ".", "QUIT"}),
+                 GoldenDelivered{u2, headers, "b"}});
+  }
+  {
+    std::string body;
+    for (int i = 0; i < 10; ++i) body += std::string(40, 'x') + "\n";
+    std::vector<std::string> tail = {""};
+    for (int i = 0; i < 10; ++i) tail.push_back(std::string(40, 'x'));
+    tail.insert(tail.end(), {".", "QUIT"});
+    // 552 arrives mid-DATA, once the accumulated lines pass 200 bytes.
+    v.push_back({"size_552", golden_message(body), 200, false, 282, 186, 552,
+                 golden_script(u2, tail), std::nullopt});
+  }
+  {
+    EmailMessage m = golden_message("to nobody");
+    m.to[0] = addr("u9@isp1.example");
+    v.push_back({"verifier_550", std::move(m), 0, true, 75, 121, 550,
+                 golden_script({"u9@isp1.example"},
+                               {"", "to nobody", ".", "QUIT"}),
+                 std::nullopt});
+  }
+  return v;
+}
+
+TEST(SmtpGolden, TranscriptsMatchPinnedDialogue) {
+  for (const Golden& g : golden_cases()) {
+    SCOPED_TRACE(g.name);
+    EXPECT_EQ(smtp_client_script(g.msg, "isp0.example"), g.script);
+
+    std::vector<EmailMessage> got;
+    SmtpServerSession session("isp1.example", [&got](EmailMessage&& m) {
+      got.push_back(std::move(m));
+    });
+    if (g.max_size) session.set_max_message_size(g.max_size);
+    if (g.verifier)
+      session.set_verifier(
+          [](const EmailAddress& a) { return a.local == "u2"; });
+    const SmtpTransferResult r = smtp_transfer(g.msg, "isp0.example", session);
+    EXPECT_EQ(r.bytes_client_to_server, g.c2s);
+    EXPECT_EQ(r.bytes_server_to_client, g.s2c);
+    EXPECT_EQ(r.first_error_code, g.first_error);
+    EXPECT_EQ(r.accepted, g.delivered.has_value());
+    if (!g.delivered) {
+      EXPECT_TRUE(got.empty());
+      continue;
+    }
+    ASSERT_EQ(got.size(), 1u);
+    const EmailMessage& m = got.front();
+    EXPECT_EQ(m.from.str(), "u1@isp0.example");
+    std::vector<std::string> to;
+    for (const auto& a : m.to) to.push_back(a.str());
+    EXPECT_EQ(to, g.delivered->to);
+    EXPECT_EQ(m.headers, g.delivered->headers);
+    EXPECT_EQ(m.body, g.delivered->body);
+
+    // parse_rfc822 shares the session's parser: the script's un-stuffed
+    // DATA lines parse to the same message.
+    const auto data = std::find(g.script.begin(), g.script.end(), "DATA");
+    const auto dot = std::find(data, g.script.end(), ".");
+    std::vector<std::string> lines;
+    for (auto it = data + 1; it != dot; ++it)
+      lines.push_back(it->rfind("..", 0) == 0 ? it->substr(1) : *it);
+    const EmailMessage parsed = parse_rfc822(m.from, m.to, lines);
+    EXPECT_EQ(parsed.headers, m.headers);
+    EXPECT_EQ(parsed.body, m.body);
+  }
 }
 
 // --- Round-trip property fuzz ------------------------------------------------
