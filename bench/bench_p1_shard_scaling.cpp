@@ -33,7 +33,7 @@ struct RunResult {
   std::uint64_t cross_shard_msgs = 0;
   std::uint64_t horizon_clamps = 0;
   bool audit_ok = true;
-  std::string digest;  // kV1 snapshot dump: the bit-identity artifact
+  std::string digest;  // world-state snapshot dump: the bit-identity artifact
 };
 
 core::ZmailParams world_params(bool smoke) {
@@ -87,7 +87,7 @@ RunResult run_world(std::size_t shards, bool smoke, std::uint64_t seed) {
   }
   res.horizon_clamps = w.horizon_clamps();
   res.audit_ok = w.barrier_audit().ok();
-  res.digest = obs::snapshot(w, obs::Schema::kV1).dump();
+  res.digest = obs::world_state(obs::snapshot(w)).dump();
   return res;
 }
 

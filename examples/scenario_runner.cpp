@@ -21,7 +21,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <mutex>
 #include <sstream>
@@ -154,15 +153,14 @@ telemetry::TelemetryConfig telemetry_config(const Args& args) {
 
 // Post-run telemetry export (single replica): merged series to CSV, the
 // default probe rules evaluated retrospectively (fires/clears logged via
-// the "probe" tag) with a console summary, and optionally the obs v3
-// snapshot built by `v3_snapshot`.  Returns 0 or the process exit code.
+// the "probe" tag) with a console summary, and optionally the world's obs
+// v3 snapshot.  Returns 0 or the process exit code.
+template <class World>
 int export_telemetry(
-    const Args& args,
-    const std::vector<const telemetry::TelemetryRegistry*>& regs,
-    double endowment_epennies,
-    const std::function<json::Value()>& v3_snapshot) {
+    const Args& args, const World& world,
+    const std::vector<const telemetry::TelemetryRegistry*>& regs) {
   telemetry::DeriveSpec spec;
-  spec.endowment_epennies = endowment_epennies;
+  spec.endowment_epennies = static_cast<double>(world.initial_endowment());
   const std::vector<telemetry::Series> merged =
       telemetry::merge_series(regs, spec);
   std::size_t points = 0;
@@ -189,8 +187,10 @@ int export_telemetry(
     std::printf("wrote %s\n", args.telemetry_csv.c_str());
   }
   if (!args.telemetry_json.empty()) {
+    obs::MetricsRegistry reg;
+    reg.add_system("scenario", world);
     std::string err;
-    if (!json::write_file(args.telemetry_json, v3_snapshot(), &err)) {
+    if (!reg.write_file(args.telemetry_json, &err)) {
       std::fprintf(stderr, "telemetry JSON export failed: %s\n", err.c_str());
       return 2;
     }
@@ -365,18 +365,18 @@ int main(int argc, char** argv) {
         sweep::MetricBag bag;
         core::ScenarioResult r;
         if (args.banks > 0) {
-          core::FederatedScenarioRunner runner(copy, args.banks);
-          core::FederationAuditor auditor(runner.world());
+          core::FederatedZmailSystem world(copy.params(), args.banks,
+                                           copy.seed());
+          core::FederationAuditor auditor(world);
           if (args.audit) auditor.run_continuously(10 * sim::kMinute);
           if (args.telemetry_on())
-            runner.world().enable_telemetry(telemetry_config(args));
-          r = runner.run();
+            world.enable_telemetry(telemetry_config(args));
+          r = core::run(copy, world);
           auditor.check_now();
           if (args.audit && !auditor.report().ok())
             for (const auto& msg : auditor.report().messages)
               r.failures.push_back(core::ScenarioError{0, "audit: " + msg});
-          const core::FederationMetrics fm =
-              runner.world().federation().metrics();
+          const core::FederationMetrics fm = world.federation().metrics();
           bag.count("fed_rounds", static_cast<double>(fm.rounds_completed));
           bag.count("fed_interbank_messages",
                     static_cast<double>(fm.interbank_messages));
@@ -387,46 +387,28 @@ int main(int argc, char** argv) {
           bag.count("audit_violations",
                     static_cast<double>(auditor.report().violations));
           bag.count("state_recoveries",
-                    static_cast<double>(runner.world().state_recoveries()));
-          const core::IspMetrics m = runner.world().total_isp_metrics();
+                    static_cast<double>(world.state_recoveries()));
+          const core::IspMetrics m = world.total_isp_metrics();
           bag.count("emails_delivered",
                     static_cast<double>(m.emails_delivered));
-          if (args.telemetry_on()) {
-            const core::ZmailParams& wp = runner.world().params();
-            const double endowment =
-                static_cast<double>(wp.n_isps) *
-                (static_cast<double>(wp.initial_avail) +
-                 static_cast<double>(wp.users_per_isp) *
-                     static_cast<double>(wp.initial_user_balance));
-            obs::MetricsRegistry reg;
-            reg.set_schema(obs::Schema::kV3);
-            reg.add_system("scenario", runner.world());
-            telemetry_rc = export_telemetry(
-                args, {runner.world().telemetry()}, endowment,
-                [&reg] { return reg.snapshot(); });
-          }
+          if (args.telemetry_on())
+            telemetry_rc = export_telemetry(args, world, {world.telemetry()});
         } else {
           core::ShardOptions shard_opts;
           shard_opts.shards = args.shards;
-          core::ScenarioRunner runner(copy, shard_opts);
+          core::ShardedSystem world(copy.params(), copy.seed(), shard_opts);
           if (args.telemetry_on())
-            runner.world().enable_telemetry(telemetry_config(args));
-          r = runner.run();
-          const core::IspMetrics m = runner.world().total_isp_metrics();
+            world.enable_telemetry(telemetry_config(args));
+          r = core::run(copy, world);
+          const core::IspMetrics m = world.total_isp_metrics();
           bag.count("emails_delivered", static_cast<double>(m.emails_delivered));
           bag.count("refused_no_balance",
                     static_cast<double>(m.refused_no_balance));
           bag.count("refused_daily_limit",
                     static_cast<double>(m.refused_daily_limit));
-          if (args.telemetry_on()) {
-            obs::MetricsRegistry reg;
-            reg.set_schema(obs::Schema::kV3);
-            reg.add_system("scenario", runner.world());
-            telemetry_rc = export_telemetry(
-                args, runner.world().telemetry_registries(),
-                static_cast<double>(runner.world().initial_endowment()),
-                [&reg] { return reg.snapshot(); });
-          }
+          if (args.telemetry_on())
+            telemetry_rc =
+                export_telemetry(args, world, world.telemetry_registries());
         }
         bag.count("commands_executed", static_cast<double>(r.commands_executed));
         bag.count("failures", static_cast<double>(r.failures.size()));
@@ -470,7 +452,7 @@ int main(int argc, char** argv) {
     j["schema"] = "zmail-scenario-v1";
     j["script"] = args.script.empty() ? std::string("<demo>") : args.script;
     j["commands_in_script"] =
-        static_cast<std::uint64_t>(scenario->command_count());
+        static_cast<std::uint64_t>(scenario->commands().size());
     j["sweep"] = result.to_json();
     std::string werr;
     if (!json::write_file(args.json_path, j, &werr)) {

@@ -119,7 +119,8 @@ SendOutcome FederatedZmailSystem::send_email(const net::EmailAddress& from,
 TradeOutcome FederatedZmailSystem::buy_epennies(const net::EmailAddress& user,
                                                 EPenny n) {
   std::size_t i = 0, u = 0;
-  if (!net::decode_user_address(user, i, u))
+  if (!net::decode_user_address(user, i, u) || i >= params_.n_isps ||
+      u >= params_.users_per_isp)
     return TradeOutcome{TradeResult::kBadAddress};
   const bool ok = isps_.at(i)->user_buy(u, n);
   pump_isp(i);
@@ -129,7 +130,8 @@ TradeOutcome FederatedZmailSystem::buy_epennies(const net::EmailAddress& user,
 TradeOutcome FederatedZmailSystem::sell_epennies(const net::EmailAddress& user,
                                                  EPenny n) {
   std::size_t i = 0, u = 0;
-  if (!net::decode_user_address(user, i, u))
+  if (!net::decode_user_address(user, i, u) || i >= params_.n_isps ||
+      u >= params_.users_per_isp)
     return TradeOutcome{TradeResult::kBadAddress};
   const bool ok = isps_.at(i)->user_sell(u, n);
   pump_isp(i);
@@ -533,16 +535,18 @@ Money FederatedZmailSystem::total_real_money() const {
   return total;
 }
 
+EPenny FederatedZmailSystem::initial_endowment() const {
+  return static_cast<EPenny>(params_.n_isps) *
+         (params_.initial_avail +
+          static_cast<EPenny>(params_.users_per_isp) *
+              params_.initial_user_balance);
+}
+
 bool FederatedZmailSystem::conservation_holds() const {
-  const EPenny initial =
-      static_cast<EPenny>(params_.n_isps) *
-      (params_.initial_avail +
-       static_cast<EPenny>(params_.users_per_isp) *
-           params_.initial_user_balance);
   const EPenny outstanding = fed_->metrics().epennies_minted -
                              fed_->metrics().epennies_burned;
   return running_totals_agree(isps_) &&
-         total_epennies() == initial + outstanding;
+         total_epennies() == initial_endowment() + outstanding;
 }
 
 }  // namespace zmail::core

@@ -38,7 +38,7 @@ namespace zmail::core {
 enum class TradeResult : std::uint8_t {
   kAccepted = 0,    // local books updated (bank settlement may still be
                     // in flight behind the avail pool)
-  kBadAddress = 1,  // address didn't decode to a live compliant user
+  kBadAddress = 1,  // address didn't decode to an in-range compliant user
   kRefused = 2,     // insufficient account / avail pool (refunded: no
                     // money moved)
 };
@@ -103,6 +103,9 @@ class FederatedZmailSystem {
   EPenny total_epennies() const;
   Money total_real_money() const;
   bool conservation_holds() const;
+  // World-wide initial e-penny endowment (every ISP is compliant here); the
+  // conservation baseline telemetry's derived gap series subtracts from.
+  EPenny initial_endowment() const;
 
   // --- Faults & the durable store -----------------------------------------
   // Attaches a fault plan to the network.  With the store enabled, every

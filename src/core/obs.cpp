@@ -10,28 +10,19 @@
 
 namespace zmail::obs {
 
-const char* schema_name(Schema v) noexcept {
-  switch (v) {
-    case Schema::kV1: return "zmail-obs-v1";
-    case Schema::kV2: return "zmail-obs-v2";
-    case Schema::kV3: return "zmail-obs-v3";
-  }
-  return "zmail-obs-v1";
-}
-
 namespace {
 
-// The kV3 telemetry sections, shared by every facade's snapshot: merged
+// The telemetry sections, shared by every facade's snapshot: merged
 // deterministic series, engine series, and the default probe rules
 // evaluated over the run (without re-logging transitions the live run
 // already logged).
 void append_timeseries(
     json::Value& j,
     const std::vector<const telemetry::TelemetryRegistry*>& regs,
-    double endowment_epennies) {
+    EPenny endowment_epennies) {
   if (regs.empty()) return;
   telemetry::DeriveSpec spec;
-  spec.endowment_epennies = endowment_epennies;
+  spec.endowment_epennies = static_cast<double>(endowment_epennies);
   const std::vector<telemetry::Series> merged =
       telemetry::merge_series(regs, spec);
   j["timeseries"] = telemetry::timeseries_json(merged, /*engine=*/false);
@@ -43,9 +34,147 @@ void append_timeseries(
       telemetry::to_json(probes.evaluate(merged, /*log_transitions=*/false));
 }
 
+void append_store(json::Value& j, const core::ZmailSystem::StoreTotals& st,
+                  std::uint64_t state_recoveries) {
+  json::Value& store = j["store"];
+  store["checkpoints"] = st.checkpoints;
+  store["snapshot_bytes"] = st.snapshot_bytes;
+  store["wal_records_appended"] = st.wal_records_appended;
+  store["wal_records_truncated"] = st.wal_records_truncated;
+  store["wal_bytes_appended"] = st.wal_bytes_appended;
+  store["wal_syncs"] = st.wal_syncs;
+  store["wal_fsyncs"] = st.wal_fsyncs;
+  store["state_recoveries"] = state_recoveries;
+}
+
+// --- The reads that differ between the central-bank facades ---------------
+// (a ShardedSystem with one shard is snapshotted as its whole ZmailSystem).
+
+const Sample& delivery_latency(const core::ZmailSystem& sys) {
+  return sys.delivery_latency();
+}
+// Merged and sorted before the float reductions run, so which shard
+// observed which email cannot change the exported quantiles or mean.
+Sample delivery_latency(const core::ShardedSystem& sys) {
+  return sys.merged_delivery_latency();
+}
+
+void append_network_totals(json::Value& net, const core::ZmailSystem& sys) {
+  net["datagrams_sent"] = sys.network().datagrams_sent();
+  net["bytes_sent"] = sys.network().bytes_sent();
+}
+void append_network_totals(json::Value& net, const core::ShardedSystem& sys) {
+  net["datagrams_sent"] = sys.datagrams_sent();
+  net["bytes_sent"] = sys.bytes_sent();
+}
+
+const core::LegacyHostStats& legacy_stats(const core::ZmailSystem& sys,
+                                          std::size_t i) {
+  return sys.legacy_stats(i);
+}
+const core::LegacyHostStats& legacy_stats(const core::ShardedSystem& sys,
+                                          std::size_t i) {
+  return sys.shard(sys.owner_shard(i)).legacy_stats(i);
+}
+
+// Calendar-queue far-bucket rebases: each one re-sorts the overflow heap
+// into the wheel, so a growing count under a fixed workload is a
+// queue-tuning regression signal.  Summed over shards, so it varies with
+// the partition.
+json::Value engine_section(const core::ZmailSystem& sys) {
+  json::Value eng = json::Value::object();
+  eng["calendar_rebase_count"] = sys.simulator().calendar_rebases();
+  return eng;
+}
+// windows/cross_shard_msgs describe *how* the run executed, not the world.
+json::Value engine_section(const core::ShardedSystem& sys) {
+  const sim::ShardedStats& es = *sys.engine_stats();
+  json::Value eng = json::Value::object();
+  eng["shards"] = static_cast<std::uint64_t>(sys.shard_count());
+  eng["windows"] = es.windows;
+  eng["cross_shard_msgs"] = es.cross_shard_msgs;
+  eng["mailbox_overflows"] = es.mailbox_overflows;
+  eng["horizon_clamps"] = sys.horizon_clamps();
+  eng["max_window_events"] = es.max_window_events;
+  eng["barrier_audit_checks"] = sys.barrier_audit().checks;
+  eng["barrier_audit_failures"] = sys.barrier_audit().failures;
+  eng["calendar_rebase_count"] = sys.calendar_rebases();
+  return eng;
+}
+
+void append_telemetry(json::Value& j, const core::ZmailSystem& sys) {
+  if (sys.telemetry())
+    append_timeseries(j, {sys.telemetry()}, sys.initial_endowment_owned());
+}
+void append_telemetry(json::Value& j, const core::ShardedSystem& sys) {
+  append_timeseries(j, sys.telemetry_registries(), sys.initial_endowment());
+}
+
+// The central-bank world snapshot, one body for both facades.
+template <class World>
+json::Value central_snapshot(const World& sys) {
+  const core::ZmailParams& p = sys.params();
+  json::Value j = json::Value::object();
+  j["sim_time"] = static_cast<std::int64_t>(sys.now());
+  j["n_isps"] = static_cast<std::uint64_t>(p.n_isps);
+  j["users_per_isp"] = static_cast<std::uint64_t>(p.users_per_isp);
+  j["compliant_isps"] = static_cast<std::uint64_t>(p.compliant_count());
+
+  j["isp_totals"] = to_json(sys.total_isp_metrics());
+  j["legacy_totals"] = to_json(sys.total_legacy_stats());
+  j["bank"] = to_json(sys.bank().metrics());
+  j["delivery_latency_seconds"] = to_json(delivery_latency(sys));
+
+  json::Value& net = j["network"];
+  append_network_totals(net, sys);
+  json::Value& smtp = net["smtp_bytes_received"];
+  smtp = json::Value::array();
+  for (std::size_t i = 0; i < p.n_isps; ++i)
+    smtp.push_back(sys.smtp_bytes_received(i));
+
+  json::Value& per_isp = j["per_isp"];
+  per_isp = json::Value::array();
+  for (std::size_t i = 0; i < p.n_isps; ++i) {
+    json::Value e = json::Value::object();
+    e["isp"] = static_cast<std::uint64_t>(i);
+    e["compliant"] = p.is_compliant(i);
+    if (p.is_compliant(i))
+      e["metrics"] = to_json(sys.isp(i).metrics());
+    else
+      e["legacy"] = to_json(legacy_stats(sys, i));
+    per_isp.push_back(std::move(e));
+  }
+
+  json::Value& cons = j["conservation"];
+  cons["total_epennies"] = static_cast<std::int64_t>(sys.total_epennies());
+  cons["epennies_in_flight"] =
+      static_cast<std::int64_t>(sys.epennies_in_flight());
+  cons["holds"] = sys.conservation_holds();
+
+  append_store(j, sys.store_totals(), sys.state_recoveries());
+  j["store"]["pending_transfers"] =
+      static_cast<std::uint64_t>(sys.pending_transfers());
+  j["engine"] = engine_section(sys);
+
+  // Flight-recorder sections only when the recorder is live; a snapshot of
+  // an untraced run omits them rather than emitting zeros.
+  if (trace::enabled()) {
+    j["trace_breakdown"] =
+        trace::breakdown_to_json(trace::breakdown(trace::collect()));
+    j["profiles"] = trace::profiles_to_json();
+  }
+  append_telemetry(j, sys);
+  return j;
+}
+
 }  // namespace
 
-json::Value to_json(const core::IspMetrics& m, Schema v) {
+json::Value world_state(json::Value snapshot) {
+  for (const char* section : kRunDependentSections) snapshot.erase(section);
+  return snapshot;
+}
+
+json::Value to_json(const core::IspMetrics& m) {
   json::Value j = json::Value::object();
   j["emails_sent_local"] = m.emails_sent_local;
   j["emails_sent_compliant"] = m.emails_sent_compliant;
@@ -69,19 +198,16 @@ json::Value to_json(const core::IspMetrics& m, Schema v) {
   j["bad_nonce_replies"] = m.bad_nonce_replies;
   j["bad_envelopes"] = m.bad_envelopes;
   j["stale_requests"] = m.stale_requests;
-  if (v != Schema::kV1) {
-    // PR3 fault-recovery counters, folded into the snapshot from v2 on.
-    j["bank_retries"] = m.bank_retries;
-    j["report_retries"] = m.report_retries;
-    j["emails_retransmitted"] = m.emails_retransmitted;
-    j["emails_refunded"] = m.emails_refunded;
-    j["emails_shed"] = m.emails_shed;
-    j["duplicate_emails_dropped"] = m.duplicate_emails_dropped;
-  }
+  j["bank_retries"] = m.bank_retries;
+  j["report_retries"] = m.report_retries;
+  j["emails_retransmitted"] = m.emails_retransmitted;
+  j["emails_refunded"] = m.emails_refunded;
+  j["emails_shed"] = m.emails_shed;
+  j["duplicate_emails_dropped"] = m.duplicate_emails_dropped;
   return j;
 }
 
-json::Value to_json(const core::BankMetrics& m, Schema v) {
+json::Value to_json(const core::BankMetrics& m) {
   json::Value j = json::Value::object();
   j["buys_received"] = m.buys_received;
   j["buys_accepted"] = m.buys_accepted;
@@ -92,13 +218,10 @@ json::Value to_json(const core::BankMetrics& m, Schema v) {
   j["inconsistent_pairs_found"] = m.inconsistent_pairs_found;
   j["bad_envelopes"] = m.bad_envelopes;
   j["stale_reports"] = m.stale_reports;
-  if (v != Schema::kV1) {
-    // Bank idempotency-shield counters (duplicate/stale trade absorption).
-    j["duplicate_buys"] = m.duplicate_buys;
-    j["duplicate_sells"] = m.duplicate_sells;
-    j["stale_trades"] = m.stale_trades;
-    j["snapshot_rerequests"] = m.snapshot_rerequests;
-  }
+  j["duplicate_buys"] = m.duplicate_buys;
+  j["duplicate_sells"] = m.duplicate_sells;
+  j["stale_trades"] = m.stale_trades;
+  j["snapshot_rerequests"] = m.snapshot_rerequests;
   j["epennies_minted"] = static_cast<std::int64_t>(m.epennies_minted);
   j["epennies_burned"] = static_cast<std::int64_t>(m.epennies_burned);
   j["settlement_transfers"] = m.settlement_transfers;
@@ -153,167 +276,17 @@ json::Value to_json(const Sample& s) {
   return j;
 }
 
-json::Value snapshot(const core::ZmailSystem& sys, Schema v) {
-  const core::ZmailParams& p = sys.params();
-  json::Value j = json::Value::object();
-  j["sim_time"] = static_cast<std::int64_t>(sys.now());
-  j["n_isps"] = static_cast<std::uint64_t>(p.n_isps);
-  j["users_per_isp"] = static_cast<std::uint64_t>(p.users_per_isp);
-  j["compliant_isps"] = static_cast<std::uint64_t>(p.compliant_count());
-
-  j["isp_totals"] = to_json(sys.total_isp_metrics(), v);
-  j["legacy_totals"] = to_json(sys.total_legacy_stats());
-  j["bank"] = to_json(sys.bank().metrics(), v);
-  j["delivery_latency_seconds"] = to_json(sys.delivery_latency());
-
-  json::Value& net = j["network"];
-  net["datagrams_sent"] = sys.network().datagrams_sent();
-  net["bytes_sent"] = sys.network().bytes_sent();
-  json::Value& smtp = net["smtp_bytes_received"];
-  smtp = json::Value::array();
-  for (std::size_t i = 0; i < p.n_isps; ++i)
-    smtp.push_back(sys.smtp_bytes_received(i));
-
-  json::Value& per_isp = j["per_isp"];
-  per_isp = json::Value::array();
-  for (std::size_t i = 0; i < p.n_isps; ++i) {
-    json::Value e = json::Value::object();
-    e["isp"] = static_cast<std::uint64_t>(i);
-    e["compliant"] = p.is_compliant(i);
-    if (p.is_compliant(i))
-      e["metrics"] = to_json(sys.isp(i).metrics(), v);
-    else
-      e["legacy"] = to_json(sys.legacy_stats(i));
-    per_isp.push_back(std::move(e));
-  }
-
-  json::Value& cons = j["conservation"];
-  cons["total_epennies"] = static_cast<std::int64_t>(sys.total_epennies());
-  cons["epennies_in_flight"] =
-      static_cast<std::int64_t>(sys.epennies_in_flight());
-  cons["holds"] = sys.conservation_holds();
-
-  if (v != Schema::kV1) {
-    const core::ZmailSystem::StoreTotals st = sys.store_totals();
-    json::Value& store = j["store"];
-    store["checkpoints"] = st.checkpoints;
-    store["snapshot_bytes"] = st.snapshot_bytes;
-    store["wal_records_appended"] = st.wal_records_appended;
-    store["wal_records_truncated"] = st.wal_records_truncated;
-    store["wal_bytes_appended"] = st.wal_bytes_appended;
-    store["wal_syncs"] = st.wal_syncs;
-    store["wal_fsyncs"] = st.wal_fsyncs;
-    store["state_recoveries"] = sys.state_recoveries();
-    store["pending_transfers"] =
-        static_cast<std::uint64_t>(sys.pending_transfers());
-    // Calendar-queue far-bucket rebases: each one re-sorts the overflow
-    // heap into the wheel, so a growing count under a fixed workload is a
-    // queue-tuning regression signal.
-    j["calendar_rebase_count"] = sys.simulator().calendar_rebases();
-
-    // Flight-recorder sections only when the recorder is live; a v2
-    // snapshot of an untraced run omits them rather than emitting zeros.
-    if (trace::enabled()) {
-      j["trace_breakdown"] =
-          trace::breakdown_to_json(trace::breakdown(trace::collect()));
-      j["profiles"] = trace::profiles_to_json();
-    }
-  }
-  if (v == Schema::kV3 && sys.telemetry())
-    append_timeseries(j, {sys.telemetry()},
-                      static_cast<double>(sys.initial_endowment_owned()));
-  return j;
+json::Value snapshot(const core::ZmailSystem& sys) {
+  return central_snapshot(sys);
 }
 
-json::Value snapshot(const core::ShardedSystem& sys, Schema v) {
-  // Single shard == the legacy whole world: defer so the output is
-  // byte-identical to the pre-sharding snapshot (same code path).
-  if (!sys.sharded()) return snapshot(sys.shard(0), v);
-
-  const core::ZmailParams& p = sys.params();
-  json::Value j = json::Value::object();
-  j["sim_time"] = static_cast<std::int64_t>(sys.now());
-  j["n_isps"] = static_cast<std::uint64_t>(p.n_isps);
-  j["users_per_isp"] = static_cast<std::uint64_t>(p.users_per_isp);
-  j["compliant_isps"] = static_cast<std::uint64_t>(p.compliant_count());
-
-  j["isp_totals"] = to_json(sys.total_isp_metrics(), v);
-  j["legacy_totals"] = to_json(sys.total_legacy_stats());
-  j["bank"] = to_json(sys.bank().metrics(), v);
-  // Merged and sorted before the float reductions run, so which shard
-  // observed which email cannot change the exported quantiles or mean.
-  j["delivery_latency_seconds"] = to_json(sys.merged_delivery_latency());
-
-  json::Value& net = j["network"];
-  net["datagrams_sent"] = sys.datagrams_sent();
-  net["bytes_sent"] = sys.bytes_sent();
-  json::Value& smtp = net["smtp_bytes_received"];
-  smtp = json::Value::array();
-  for (std::size_t i = 0; i < p.n_isps; ++i)
-    smtp.push_back(sys.smtp_bytes_received(i));
-
-  json::Value& per_isp = j["per_isp"];
-  per_isp = json::Value::array();
-  for (std::size_t i = 0; i < p.n_isps; ++i) {
-    json::Value e = json::Value::object();
-    e["isp"] = static_cast<std::uint64_t>(i);
-    e["compliant"] = p.is_compliant(i);
-    if (p.is_compliant(i))
-      e["metrics"] = to_json(sys.isp(i).metrics(), v);
-    else
-      e["legacy"] = to_json(sys.shard(sys.owner_shard(i)).legacy_stats(i));
-    per_isp.push_back(std::move(e));
-  }
-
-  json::Value& cons = j["conservation"];
-  cons["total_epennies"] = static_cast<std::int64_t>(sys.total_epennies());
-  cons["epennies_in_flight"] =
-      static_cast<std::int64_t>(sys.epennies_in_flight());
-  cons["holds"] = sys.conservation_holds();
-
-  if (v != Schema::kV1) {
-    const core::ZmailSystem::StoreTotals st = sys.store_totals();
-    json::Value& store = j["store"];
-    store["checkpoints"] = st.checkpoints;
-    store["snapshot_bytes"] = st.snapshot_bytes;
-    store["wal_records_appended"] = st.wal_records_appended;
-    store["wal_records_truncated"] = st.wal_records_truncated;
-    store["wal_bytes_appended"] = st.wal_bytes_appended;
-    store["wal_syncs"] = st.wal_syncs;
-    store["wal_fsyncs"] = st.wal_fsyncs;
-    store["state_recoveries"] = sys.state_recoveries();
-    store["pending_transfers"] =
-        static_cast<std::uint64_t>(sys.pending_transfers());
-    j["calendar_rebase_count"] = sys.calendar_rebases();
-
-    // Engine execution counters.  windows/cross_shard_msgs describe *how*
-    // the run executed, not the world: they vary with the partition, so
-    // they live in their own section and never feed bit-identity diffs.
-    if (const sim::ShardedStats* es = sys.engine_stats()) {
-      json::Value& eng = j["engine"];
-      eng["shards"] = static_cast<std::uint64_t>(sys.shard_count());
-      eng["windows"] = es->windows;
-      eng["cross_shard_msgs"] = es->cross_shard_msgs;
-      eng["mailbox_overflows"] = es->mailbox_overflows;
-      eng["horizon_clamps"] = sys.horizon_clamps();
-      eng["max_window_events"] = es->max_window_events;
-      eng["barrier_audit_checks"] = sys.barrier_audit().checks;
-      eng["barrier_audit_failures"] = sys.barrier_audit().failures;
-    }
-
-    if (trace::enabled()) {
-      j["trace_breakdown"] =
-          trace::breakdown_to_json(trace::breakdown(trace::collect()));
-      j["profiles"] = trace::profiles_to_json();
-    }
-  }
-  if (v == Schema::kV3)
-    append_timeseries(j, sys.telemetry_registries(),
-                      static_cast<double>(sys.initial_endowment()));
-  return j;
+json::Value snapshot(const core::ShardedSystem& sys) {
+  // Single shard == the whole world: same code path, same bytes.
+  if (!sys.sharded()) return central_snapshot(sys.shard(0));
+  return central_snapshot(sys);
 }
 
-json::Value snapshot(const core::FederatedZmailSystem& sys, Schema v) {
+json::Value snapshot(const core::FederatedZmailSystem& sys) {
   const core::ZmailParams& p = sys.params();
   const core::BankFederation& fed = sys.federation();
   json::Value j = json::Value::object();
@@ -322,7 +295,7 @@ json::Value snapshot(const core::FederatedZmailSystem& sys, Schema v) {
   j["users_per_isp"] = static_cast<std::uint64_t>(p.users_per_isp);
   j["n_banks"] = static_cast<std::uint64_t>(sys.bank_count());
 
-  j["isp_totals"] = to_json(sys.total_isp_metrics(), v);
+  j["isp_totals"] = to_json(sys.total_isp_metrics());
 
   const core::FederationMetrics m = fed.metrics();
   json::Value& f = j["federation"];
@@ -337,17 +310,15 @@ json::Value snapshot(const core::FederatedZmailSystem& sys, Schema v) {
   f["violations_found"] = m.violations_found;
   f["epennies_minted"] = static_cast<std::int64_t>(m.epennies_minted);
   f["epennies_burned"] = static_cast<std::int64_t>(m.epennies_burned);
-  if (v != Schema::kV1) {
-    f["clearing_messages"] = m.clearing_messages;
-    f["interbank_acks"] = m.interbank_acks;
-    f["interbank_retries"] = m.interbank_retries;
-    f["duplicate_trades"] = m.duplicate_trades;
-    f["stale_trades"] = m.stale_trades;
-    f["duplicate_interbank"] = m.duplicate_interbank;
-    f["stale_interbank"] = m.stale_interbank;
-    f["bad_envelopes"] = m.bad_envelopes;
-    f["snapshot_rerequests"] = m.snapshot_rerequests;
-  }
+  f["clearing_messages"] = m.clearing_messages;
+  f["interbank_acks"] = m.interbank_acks;
+  f["interbank_retries"] = m.interbank_retries;
+  f["duplicate_trades"] = m.duplicate_trades;
+  f["stale_trades"] = m.stale_trades;
+  f["duplicate_interbank"] = m.duplicate_interbank;
+  f["stale_interbank"] = m.stale_interbank;
+  f["bad_envelopes"] = m.bad_envelopes;
+  f["snapshot_rerequests"] = m.snapshot_rerequests;
   json::Value& banks = f["per_bank"];
   banks = json::Value::array();
   for (std::size_t b = 0; b < sys.bank_count(); ++b) {
@@ -369,27 +340,9 @@ json::Value snapshot(const core::FederatedZmailSystem& sys, Schema v) {
   cons["total_epennies"] = static_cast<std::int64_t>(sys.total_epennies());
   cons["holds"] = sys.conservation_holds();
 
-  if (v != Schema::kV1) {
-    const core::ZmailSystem::StoreTotals st = sys.store_totals();
-    json::Value& store = j["store"];
-    store["checkpoints"] = st.checkpoints;
-    store["snapshot_bytes"] = st.snapshot_bytes;
-    store["wal_records_appended"] = st.wal_records_appended;
-    store["wal_records_truncated"] = st.wal_records_truncated;
-    store["wal_bytes_appended"] = st.wal_bytes_appended;
-    store["wal_syncs"] = st.wal_syncs;
-    store["wal_fsyncs"] = st.wal_fsyncs;
-    store["state_recoveries"] = sys.state_recoveries();
-  }
-  if (v == Schema::kV3 && sys.telemetry()) {
-    // Federated endowment: every ISP is compliant in this facade.
-    const double endowment =
-        static_cast<double>(p.n_isps) *
-        (static_cast<double>(p.initial_avail) +
-         static_cast<double>(p.users_per_isp) *
-             static_cast<double>(p.initial_user_balance));
-    append_timeseries(j, {sys.telemetry()}, endowment);
-  }
+  append_store(j, sys.store_totals(), sys.state_recoveries());
+  if (sys.telemetry())
+    append_timeseries(j, {sys.telemetry()}, sys.initial_endowment());
   return j;
 }
 
@@ -407,29 +360,9 @@ bool MetricsRegistry::add(std::string name, Provider provider) {
   return true;
 }
 
-bool MetricsRegistry::add_system(std::string name,
-                                 const core::ZmailSystem& sys) {
-  // Captures `this` so the schema chosen via set_schema() — possibly after
-  // registration — governs the export.
-  return add(std::move(name),
-             [this, &sys] { return zmail::obs::snapshot(sys, schema_); });
-}
-
-bool MetricsRegistry::add_system(std::string name,
-                                 const core::ShardedSystem& sys) {
-  return add(std::move(name),
-             [this, &sys] { return zmail::obs::snapshot(sys, schema_); });
-}
-
-bool MetricsRegistry::add_system(std::string name,
-                                 const core::FederatedZmailSystem& sys) {
-  return add(std::move(name),
-             [this, &sys] { return zmail::obs::snapshot(sys, schema_); });
-}
-
 json::Value MetricsRegistry::snapshot() const {
   json::Value j = json::Value::object();
-  j["schema"] = schema_name(schema_);
+  j["schema"] = kSchemaName;
   for (const auto& [name, provider] : providers_) j[name] = provider();
   return j;
 }

@@ -2,12 +2,18 @@
 // counters the protocol code already keeps.
 //
 // Nothing here adds instrumentation; it serializes what IspMetrics,
-// BankMetrics, and the stats types record, in a stable machine-readable
-// schema ("zmail-obs-v1") that BENCH_*.json files and the sweep harness
-// embed.  Key order is fixed (struct field order / sorted names), so two
-// runs of the same experiment diff cleanly.
+// BankMetrics, and the stats types record, in one machine-readable schema
+// ("zmail-obs-v3") that scenario_runner --telemetry-json writes and the
+// determinism tests and bench_p1 diff.  Key order is fixed (struct field
+// order / sorted names), so two runs of the same experiment diff cleanly.
+//
+// Every value that depends on how the run executed (the shard partition or
+// wall-clock time) lives in one of the sections named by
+// kRunDependentSections; everything else is a property of the simulated
+// world and is bit-identical at any shard or thread count.
 #pragma once
 
+#include <array>
 #include <functional>
 #include <string>
 #include <utility>
@@ -22,23 +28,21 @@
 
 namespace zmail::obs {
 
-// Snapshot schema version.  kV1 reproduces the original "zmail-obs-v1"
-// output byte-for-byte (the BENCH_*.json baselines diff against it); kV2
-// ("zmail-obs-v2") folds in the PR3 fault-recovery counters, the PR4 bank
-// idempotency counters, durable-store totals, and — when the flight
-// recorder is enabled — the span-derived per-stage latency breakdown.
-// kV3 ("zmail-obs-v3") is kV2 plus, when the system ran with telemetry
-// enabled, the recorded time series: "timeseries" (deterministic series,
-// bit-identical at any shard/thread count), "timeseries_engine"
-// (partition-dependent engine series), and "probes" (the default health
-// rules evaluated over the run).
-enum class Schema { kV1, kV2, kV3 };
+inline constexpr const char* kSchemaName = "zmail-obs-v3";
 
-// "zmail-obs-v1" / "zmail-obs-v2" / "zmail-obs-v3".
-const char* schema_name(Schema v) noexcept;
+// The sections that describe the run rather than the world: "engine"
+// (calendar rebases; windows, cross-shard messages and barrier audits when
+// sharded), "timeseries_engine" (per-shard engine series), and the
+// flight-recorder "trace_breakdown" and "profiles" (wall-clock timings).
+inline constexpr std::array<const char*, 4> kRunDependentSections = {
+    "engine", "timeseries_engine", "trace_breakdown", "profiles"};
 
-json::Value to_json(const core::IspMetrics& m, Schema v = Schema::kV1);
-json::Value to_json(const core::BankMetrics& m, Schema v = Schema::kV1);
+// `snapshot` without the kRunDependentSections: the artifact bit-identity
+// comparisons diff.
+json::Value world_state(json::Value snapshot);
+
+json::Value to_json(const core::IspMetrics& m);
+json::Value to_json(const core::BankMetrics& m);
 json::Value to_json(const core::LegacyHostStats& s);
 json::Value to_json(const OnlineStats& s);
 json::Value to_json(const Histogram& h);
@@ -47,27 +51,26 @@ json::Value to_json(const Histogram& h);
 json::Value to_json(const Sample& s);
 
 // Whole-system snapshot: aggregate + per-ISP metrics, bank metrics,
-// delivery latency, network totals, conservation status.  kV2 appends the
-// "store", and (when tracing is on) "trace_breakdown" + "profiles"
-// sections; kV1 is the legacy layout, unchanged.
-json::Value snapshot(const core::ZmailSystem& sys, Schema v = Schema::kV1);
+// delivery latency, network totals, conservation status, durable-store
+// totals and the "engine" section; "trace_breakdown" + "profiles" when the
+// flight recorder is on; "timeseries", "timeseries_engine" and "probes"
+// (the default health rules evaluated over the run) when telemetry is on.
+json::Value snapshot(const core::ZmailSystem& sys);
 
-// Snapshot of a (possibly sharded) world.  Every exported value is merged
-// partition-independently (summed counters, ISP-index-ordered per-ISP
-// sections, the delivery-latency sample sorted before reduction), so in
-// deterministic mode the emitted JSON is bit-identical at any shard or
-// thread count >= 2; with shards == 1 it matches the whole-system snapshot
-// byte for byte.  kV2 appends an "engine" section (windows, cross-shard
-// messages, barrier audits) when the sharded engine is live.
-json::Value snapshot(const core::ShardedSystem& sys, Schema v = Schema::kV1);
+// Snapshot of a (possibly sharded) world, same layout.  Every world value
+// is merged partition-independently (summed counters, ISP-index-ordered
+// per-ISP sections, the delivery-latency sample sorted before reduction),
+// so in deterministic mode world_state() of it is bit-identical at any
+// shard or thread count >= 2; with shards == 1 the whole snapshot matches
+// the whole-system one byte for byte.
+json::Value snapshot(const core::ShardedSystem& sys);
 
 // Snapshot of a federated-bank world: ISP totals plus a "federation"
 // section (rounds, inter-bank messages/bytes, cross-bank settlements,
-// clearing transfers, violations, and per-bank seq/clearing positions).
-// kV2 appends the robustness counters (retries, absorbed duplicates,
-// re-requests) and the per-bank durable-store totals.
-json::Value snapshot(const core::FederatedZmailSystem& sys,
-                     Schema v = Schema::kV1);
+// clearing transfers, robustness counters, violations, and per-bank
+// seq/clearing positions), network and conservation status, the per-bank
+// durable-store totals, and the telemetry sections when telemetry is on.
+json::Value snapshot(const core::FederatedZmailSystem& sys);
 
 // Named lazy metric sources.  Providers are invoked at snapshot() time, so
 // a registry built before a run observes the state at export, not at
@@ -80,28 +83,21 @@ class MetricsRegistry {
   // wins, the new provider is dropped.  Silently shadowing the first in
   // the JSON output was the old behaviour, and it hid wiring bugs.
   bool add(std::string name, Provider provider);
-  // Convenience: registers obs::snapshot(sys, <registry schema>); the
-  // schema is read at snapshot() time, so set_schema() may follow.  The
-  // system must outlive the registry's last snapshot() call.
-  bool add_system(std::string name, const core::ZmailSystem& sys);
-  bool add_system(std::string name, const core::ShardedSystem& sys);
-  bool add_system(std::string name, const core::FederatedZmailSystem& sys);
-
-  // Selects the export schema (default kV1, the legacy byte-stable
-  // layout).  Affects the top-level "schema" string and every provider
-  // registered via add_system().
-  void set_schema(Schema v) noexcept { schema_ = v; }
-  Schema schema() const noexcept { return schema_; }
+  // Convenience: registers obs::snapshot(sys) for any of the three worlds.
+  // The system must outlive the registry's last snapshot() call.
+  template <class World>
+  bool add_system(std::string name, const World& sys) {
+    return add(std::move(name), [&sys] { return obs::snapshot(sys); });
+  }
 
   std::size_t size() const noexcept { return providers_.size(); }
 
-  // {"schema": "zmail-obs-v<N>", "<name>": <provider()>, ...}
+  // {"schema": "zmail-obs-v3", "<name>": <provider()>, ...}
   json::Value snapshot() const;
   bool write_file(const std::string& path, std::string* error = nullptr) const;
 
  private:
   std::vector<std::pair<std::string, Provider>> providers_;
-  Schema schema_ = Schema::kV1;
 };
 
 }  // namespace zmail::obs

@@ -150,339 +150,256 @@ std::string ScenarioResult::output_text() const {
   return out;
 }
 
-ScenarioRunner::ScenarioRunner(const Scenario& scenario, ShardOptions shards)
-    : scenario_(scenario),
-      world_(std::make_unique<ShardedSystem>(scenario.params_, scenario.seed_,
-                                             shards)) {}
+namespace {
 
-ScenarioResult ScenarioRunner::run() {
+void fail(ScenarioResult& result, std::size_t line, const std::string& msg) {
+  result.failures.push_back(ScenarioError{line, msg});
+}
+
+bool in_range(const ZmailParams& p,
+              const std::pair<std::size_t, std::size_t>& who) {
+  return who.first < p.n_isps && who.second < p.users_per_isp;
+}
+
+net::EmailAddress addr(const std::pair<std::size_t, std::size_t>& who) {
+  return net::make_user_address(who.first, who.second);
+}
+
+// --- What differs between the worlds -----------------------------------------
+
+// `bank` / `bank<k>` -> host of bank k (the central world has one bank).
+template <class World>
+std::optional<std::size_t> bank_target(const World& world,
+                                       const std::string& token) {
+  if (token.rfind("bank", 0) != 0) return std::nullopt;
+  const std::string idx = token.substr(4);
+  const auto b = idx.empty() ? std::optional<std::int64_t>(0) : to_int(idx);
+  if (!b || *b < 0 || static_cast<std::size_t>(*b) >= world.bank_count())
+    return std::nullopt;
+  return world.bank_host(static_cast<std::size_t>(*b));
+}
+
+// The host `crash <target>` wipes, and the usage line when it names none.
+// The central world also crashes compliant ISPs; a federated world keeps its
+// ISPs in memory, so only its banks are durable.
+std::optional<std::size_t> crash_target(const ShardedSystem& world,
+                                        const std::string& token) {
+  if (const auto bank = bank_target(world, token)) return bank;
+  const auto i = to_int(token);
+  if (!i || *i < 0 || static_cast<std::size_t>(*i) >= world.params().n_isps ||
+      !world.is_compliant(static_cast<std::size_t>(*i)))
+    return std::nullopt;
+  return static_cast<std::size_t>(*i);
+}
+std::optional<std::size_t> crash_target(const FederatedZmailSystem& world,
+                                        const std::string& token) {
+  return bank_target(world, token);
+}
+const char* crash_usage(const ShardedSystem&) {
+  return "crash needs <compliant-isp|bank> <duration>";
+}
+const char* crash_usage(const FederatedZmailSystem&) {
+  return "crash needs bank<k> <duration> in a federated world";
+}
+
+// Violations found by the last snapshot verification.
+std::size_t last_violations(const ShardedSystem& world) {
+  return world.bank().last_violations().size();
+}
+std::size_t last_violations(const FederatedZmailSystem& world) {
+  return world.federation().last_violations().size();
+}
+
+// spam / flip / policy model the mixed compliant/legacy deployment, which
+// only the central world has.
+void run_mixed_deployment_verb(ShardedSystem& world,
+                               const Scenario::Command& cmd,
+                               ScenarioResult& result) {
+  const ZmailParams& p = world.params();
+  const auto& a = cmd.args;
+  if (cmd.verb == "spam") {
+    const auto from = parse_user_ref(a.empty() ? std::string() : a[0]);
+    const auto count = kv(a, "count");
+    if (!from || !count || !in_range(p, *from)) {
+      fail(result, cmd.line, "spam needs an in-range <from> and count=N");
+      return;
+    }
+    const auto n = to_int(*count);
+    Rng rng(cmd.line * 7919 + 13);
+    for (std::int64_t k = 0; n && k < *n; ++k) {
+      const auto ti = rng.next_below(p.n_isps);
+      const auto tu = rng.next_below(p.users_per_isp);
+      world.send_email(addr(*from), net::make_user_address(ti, tu), "zxoffer",
+                       "zxbuy zxnow", net::MailClass::kSpam);
+    }
+  } else if (cmd.verb == "flip") {
+    const auto i = a.empty() ? std::nullopt : to_int(a[0]);
+    if (!i || *i < 0 || static_cast<std::size_t>(*i) >= p.n_isps) {
+      fail(result, cmd.line, "flip needs a valid isp index");
+      return;
+    }
+    world.make_compliant(static_cast<std::size_t>(*i));
+  } else if (cmd.verb == "policy") {
+    // policy <isp> <accept|segregate|discard|filter>: how this ISP's
+    // users treat mail from non-compliant senders (per-user overrides).
+    const auto i = a.size() == 2 ? to_int(a[0]) : std::nullopt;
+    std::optional<NonCompliantPolicy> policy;
+    if (a.size() == 2) {
+      if (a[1] == "accept") policy = NonCompliantPolicy::kAccept;
+      else if (a[1] == "segregate") policy = NonCompliantPolicy::kSegregate;
+      else if (a[1] == "discard") policy = NonCompliantPolicy::kDiscard;
+      else if (a[1] == "filter") policy = NonCompliantPolicy::kFilter;
+    }
+    if (!i || *i < 0 || static_cast<std::size_t>(*i) >= p.n_isps ||
+        !world.is_compliant(static_cast<std::size_t>(*i)) || !policy) {
+      fail(result, cmd.line, "policy needs a compliant isp and a policy name");
+      return;
+    }
+    Isp& isp = world.isp(static_cast<std::size_t>(*i));
+    for (std::size_t u = 0; u < p.users_per_isp; ++u)
+      isp.users().set_policy_override(UserId(u), *policy);
+  }
+}
+void run_mixed_deployment_verb(FederatedZmailSystem&,
+                               const Scenario::Command& cmd,
+                               ScenarioResult& result) {
+  fail(result, cmd.line, "verb not supported in a federated world: " + cmd.verb);
+}
+
+// --- The command loop ----------------------------------------------------------
+
+template <class World>
+ScenarioResult run_commands(const Scenario& scenario, World& world) {
   ScenarioResult result;
-  auto fail = [&](std::size_t line, const std::string& msg) {
-    result.failures.push_back(ScenarioError{line, msg});
-  };
-  auto addr = [](std::size_t isp, std::size_t user) {
-    return net::make_user_address(isp, user);
-  };
-  auto in_range = [&](const std::pair<std::size_t, std::size_t>& who) {
-    return who.first < world_->params().n_isps &&
-           who.second < world_->params().users_per_isp;
-  };
-
-  for (const auto& cmd : scenario_.commands_) {
+  const ZmailParams& p = world.params();
+  for (const auto& cmd : scenario.commands()) {
     ++result.commands_executed;
     const auto& a = cmd.args;
 
     if (cmd.verb == "send") {
       if (a.size() < 2) {
-        fail(cmd.line, "send needs <from> <to>");
+        fail(result, cmd.line, "send needs <from> <to>");
         continue;
       }
       const auto from = parse_user_ref(a[0]);
       const auto to = parse_user_ref(a[1]);
-      if (!from || !to || !in_range(*from) || !in_range(*to)) {
-        fail(cmd.line, "send: bad or out-of-range user ref");
+      if (!from || !to || !in_range(p, *from) || !in_range(p, *to)) {
+        fail(result, cmd.line, "send: bad or out-of-range user ref");
         continue;
       }
       std::string subject = "scenario";
-      for (std::size_t i = 3; i < a.size(); ++i) subject += " " + a[i];
-      if (a.size() > 2 && a[2] == "subject" && a.size() > 3)
+      if (a.size() > 3 && a[2] == "subject") {
         subject = a[3];
-      world_->send_email(addr(from->first, from->second),
-                          addr(to->first, to->second), subject, "body");
-    } else if (cmd.verb == "spam") {
-      const auto from = a.empty() ? std::nullopt : parse_user_ref(a[0]);
-      const auto count = kv(a, "count");
-      if (!from || !count || !in_range(*from)) {
-        fail(cmd.line, "spam needs an in-range <from> and count=N");
-        continue;
+        for (std::size_t i = 4; i < a.size(); ++i) subject += " " + a[i];
       }
-      const auto n = to_int(*count);
-      Rng rng(cmd.line * 7919 + 13);
-      for (std::int64_t k = 0; n && k < *n; ++k) {
-        const auto ti = rng.next_below(world_->params().n_isps);
-        const auto tu = rng.next_below(world_->params().users_per_isp);
-        world_->send_email(addr(from->first, from->second), addr(ti, tu),
-                            "zxoffer", "zxbuy zxnow",
-                            net::MailClass::kSpam);
-      }
+      world.send_email(addr(*from), addr(*to), subject, "body");
     } else if (cmd.verb == "buy" || cmd.verb == "sell") {
       if (a.size() != 2) {
-        fail(cmd.line, cmd.verb + " needs <user> <n>");
+        fail(result, cmd.line, cmd.verb + " needs <user> <n>");
         continue;
       }
       const auto who = parse_user_ref(a[0]);
       const auto n = to_int(a[1]);
-      if (!who || !n || !in_range(*who)) {
-        fail(cmd.line, cmd.verb + ": bad arguments");
+      if (!who || !n || !in_range(p, *who)) {
+        fail(result, cmd.line, cmd.verb + ": bad arguments");
         continue;
       }
-      const auto address = addr(who->first, who->second);
-      const bool ok = cmd.verb == "buy" ? world_->buy_epennies(address, *n)
-                                        : world_->sell_epennies(address, *n);
-      if (!ok) fail(cmd.line, cmd.verb + " refused");
+      if (!(cmd.verb == "buy" ? world.buy_epennies(addr(*who), *n)
+                              : world.sell_epennies(addr(*who), *n)))
+        fail(result, cmd.line, cmd.verb + " refused");
     } else if (cmd.verb == "run") {
       const auto d = a.empty() ? std::nullopt : parse_duration(a[0]);
       if (!d) {
-        fail(cmd.line, "run needs a duration like 10m");
+        fail(result, cmd.line, "run needs a duration like 10m");
         continue;
       }
-      world_->run_for(*d);
+      world.run_for(*d);
     } else if (cmd.verb == "day") {
-      for (std::size_t i = 0; i < world_->params().n_isps; ++i)
-        if (world_->is_compliant(i)) world_->isp(i).end_of_day();
-    } else if (cmd.verb == "flip") {
-      const auto i = a.empty() ? std::nullopt : to_int(a[0]);
-      if (!i || *i < 0 ||
-          static_cast<std::size_t>(*i) >= world_->params().n_isps) {
-        fail(cmd.line, "flip needs a valid isp index");
-        continue;
-      }
-      world_->make_compliant(static_cast<std::size_t>(*i));
+      for (std::size_t i = 0; i < p.n_isps; ++i)
+        if (p.is_compliant(i)) world.isp(i).end_of_day();
     } else if (cmd.verb == "snapshot") {
-      world_->start_snapshot();
+      world.start_snapshot();
     } else if (cmd.verb == "crash") {
-      // crash <isp-index|bank> <duration>: wipe the host's in-memory state
-      // and recover it from snapshot + WAL replay after <duration>.  Only
+      // crash <target> <duration>: wipe the host's in-memory state and
+      // recover it from snapshot + WAL replay after <duration>.  Only
       // meaningful with the durable store (there is nothing to recover from
       // otherwise), so it refuses on store-off worlds.
-      if (!world_->params().store.enabled) {
-        fail(cmd.line, "crash requires the durable store (--store-dir)");
+      if (!p.store.enabled) {
+        fail(result, cmd.line, "crash requires the durable store (--store-dir)");
         continue;
       }
       const auto d = a.size() == 2 ? parse_duration(a[1]) : std::nullopt;
-      std::optional<std::size_t> host;
-      if (a.size() == 2 && a[0] == "bank") {
-        host = world_->bank_index();
-      } else if (a.size() == 2) {
-        const auto i = to_int(a[0]);
-        if (i && *i >= 0 &&
-            static_cast<std::size_t>(*i) < world_->params().n_isps &&
-            world_->is_compliant(static_cast<std::size_t>(*i)))
-          host = static_cast<std::size_t>(*i);
-      }
+      const auto host =
+          a.size() == 2 ? crash_target(world, a[0]) : std::nullopt;
       if (!host || !d) {
-        fail(cmd.line, "crash needs <compliant-isp|bank> <duration>");
+        fail(result, cmd.line, crash_usage(world));
         continue;
       }
-      world_->crash_host(*host, *d);
-    } else if (cmd.verb == "policy") {
-      // policy <isp> <accept|segregate|discard|filter>: how this ISP's
-      // users treat mail from non-compliant senders (per-user overrides).
-      const auto i = a.size() == 2 ? to_int(a[0]) : std::nullopt;
-      std::optional<NonCompliantPolicy> policy;
-      if (a.size() == 2) {
-        if (a[1] == "accept") policy = NonCompliantPolicy::kAccept;
-        else if (a[1] == "segregate") policy = NonCompliantPolicy::kSegregate;
-        else if (a[1] == "discard") policy = NonCompliantPolicy::kDiscard;
-        else if (a[1] == "filter") policy = NonCompliantPolicy::kFilter;
-      }
-      if (!i || *i < 0 ||
-          static_cast<std::size_t>(*i) >= world_->params().n_isps ||
-          !world_->is_compliant(static_cast<std::size_t>(*i)) || !policy) {
-        fail(cmd.line, "policy needs a compliant isp and a policy name");
-        continue;
-      }
-      Isp& isp = world_->isp(static_cast<std::size_t>(*i));
-      for (std::size_t u = 0; u < world_->params().users_per_isp; ++u)
-        isp.users().set_policy_override(UserId(u), *policy);
+      world.crash_host(*host, *d);
     } else if (cmd.verb == "expect") {
       if (a.empty()) {
-        fail(cmd.line, "empty expect");
+        fail(result, cmd.line, "empty expect");
         continue;
       }
       if (a[0] == "balance" && a.size() == 3) {
         const auto who = parse_user_ref(a[1]);
         const auto want = to_int(a[2]);
-        if (!who || !want || !in_range(*who) ||
-            !world_->is_compliant(who->first)) {
-          fail(cmd.line, "expect balance <user> <n>");
+        if (!who || !want || !in_range(p, *who) ||
+            !p.is_compliant(who->first)) {
+          fail(result, cmd.line, "expect balance <user> <n>");
           continue;
         }
-        const EPenny got =
-            world_->isp(who->first).user(who->second).balance;
-        if (got != *want) {
-          fail(cmd.line, "expect balance " + a[1] + ": got " +
-                             std::to_string(got) + ", want " + a[2]);
-        }
+        const EPenny got = world.isp(who->first).user(who->second).balance;
+        if (got != *want)
+          fail(result, cmd.line,
+               "expect balance " + a[1] + ": got " + std::to_string(got) +
+                   ", want " + a[2]);
       } else if (a[0] == "violations" && a.size() == 2) {
         const auto want = to_int(a[1]);
-        const auto got = static_cast<std::int64_t>(
-            world_->bank().last_violations().size());
+        const auto got = static_cast<std::int64_t>(last_violations(world));
         if (!want || got != *want)
-          fail(cmd.line,
+          fail(result, cmd.line,
                "expect violations: got " + std::to_string(got));
       } else if (a[0] == "conservation") {
-        if (!world_->conservation_holds())
-          fail(cmd.line, "conservation violated");
+        if (!world.conservation_holds())
+          fail(result, cmd.line, "conservation violated");
       } else {
-        fail(cmd.line, "unknown expectation: " + a[0]);
+        fail(result, cmd.line, "unknown expectation: " + a[0]);
       }
     } else if (cmd.verb == "print") {
       if (!a.empty() && a[0] == "balances") {
-        for (std::size_t i = 0; i < world_->params().n_isps; ++i) {
-          if (!world_->is_compliant(i)) continue;
-          for (std::size_t u = 0; u < world_->params().users_per_isp; ++u) {
+        for (std::size_t i = 0; i < p.n_isps; ++i) {
+          if (!p.is_compliant(i)) continue;
+          for (std::size_t u = 0; u < p.users_per_isp; ++u) {
             char line[96];
-            std::snprintf(line, sizeof line, "%s balance=%lld",
-                          net::make_user_address(i, u).str().c_str(),
-                          static_cast<long long>(
-                              world_->isp(i).user(u).balance));
+            std::snprintf(
+                line, sizeof line, "%s balance=%lld",
+                net::make_user_address(i, u).str().c_str(),
+                static_cast<long long>(world.isp(i).user(u).balance));
             result.output.emplace_back(line);
           }
         }
       } else {
         char line[64];
         std::snprintf(line, sizeof line, "t=%s",
-                      sim::format_time(world_->now()).c_str());
+                      sim::format_time(world.now()).c_str());
         result.output.emplace_back(line);
       }
+    } else {
+      run_mixed_deployment_verb(world, cmd, result);
     }
   }
   return result;
 }
 
-FederatedScenarioRunner::FederatedScenarioRunner(const Scenario& scenario,
-                                                 std::size_t n_banks)
-    : scenario_(scenario),
-      world_(std::make_unique<FederatedZmailSystem>(scenario.params_, n_banks,
-                                                    scenario.seed_)) {}
+}  // namespace
 
-ScenarioResult FederatedScenarioRunner::run() {
-  ScenarioResult result;
-  auto fail = [&](std::size_t line, const std::string& msg) {
-    result.failures.push_back(ScenarioError{line, msg});
-  };
-  auto addr = [](std::size_t isp, std::size_t user) {
-    return net::make_user_address(isp, user);
-  };
-  auto in_range = [&](const std::pair<std::size_t, std::size_t>& who) {
-    return who.first < world_->params().n_isps &&
-           who.second < world_->params().users_per_isp;
-  };
+ScenarioResult run(const Scenario& scenario, ShardedSystem& world) {
+  return run_commands(scenario, world);
+}
 
-  for (const auto& cmd : scenario_.commands_) {
-    ++result.commands_executed;
-    const auto& a = cmd.args;
-
-    if (cmd.verb == "send") {
-      if (a.size() < 2) {
-        fail(cmd.line, "send needs <from> <to>");
-        continue;
-      }
-      const auto from = parse_user_ref(a[0]);
-      const auto to = parse_user_ref(a[1]);
-      if (!from || !to || !in_range(*from) || !in_range(*to)) {
-        fail(cmd.line, "send: bad or out-of-range user ref");
-        continue;
-      }
-      std::string subject = "scenario";
-      if (a.size() > 2 && a[2] == "subject" && a.size() > 3) subject = a[3];
-      world_->send_email(addr(from->first, from->second),
-                         addr(to->first, to->second), subject, "body");
-    } else if (cmd.verb == "buy" || cmd.verb == "sell") {
-      if (a.size() != 2) {
-        fail(cmd.line, cmd.verb + " needs <user> <n>");
-        continue;
-      }
-      const auto who = parse_user_ref(a[0]);
-      const auto n = to_int(a[1]);
-      if (!who || !n || !in_range(*who)) {
-        fail(cmd.line, cmd.verb + ": bad arguments");
-        continue;
-      }
-      const auto address = addr(who->first, who->second);
-      const TradeOutcome out = cmd.verb == "buy"
-                                   ? world_->buy_epennies(address, *n)
-                                   : world_->sell_epennies(address, *n);
-      if (!out.ok()) fail(cmd.line, cmd.verb + " refused");
-    } else if (cmd.verb == "run") {
-      const auto d = a.empty() ? std::nullopt : parse_duration(a[0]);
-      if (!d) {
-        fail(cmd.line, "run needs a duration like 10m");
-        continue;
-      }
-      world_->run_for(*d);
-    } else if (cmd.verb == "day") {
-      for (std::size_t i = 0; i < world_->params().n_isps; ++i)
-        world_->isp(i).end_of_day();
-    } else if (cmd.verb == "snapshot") {
-      world_->start_snapshot();
-    } else if (cmd.verb == "crash") {
-      // crash bank<k> <duration>: only the banks are durable in a
-      // federated world; ISPs keep in-memory state.
-      if (!world_->params().store.enabled) {
-        fail(cmd.line, "crash requires the durable store (--store-dir)");
-        continue;
-      }
-      const auto d = a.size() == 2 ? parse_duration(a[1]) : std::nullopt;
-      std::optional<std::size_t> bank;
-      if (a.size() == 2 && a[0].rfind("bank", 0) == 0) {
-        const std::string idx = a[0].substr(4);
-        const auto b = idx.empty() ? std::optional<std::int64_t>(0)
-                                   : to_int(idx);
-        if (b && *b >= 0 &&
-            static_cast<std::size_t>(*b) < world_->bank_count())
-          bank = static_cast<std::size_t>(*b);
-      }
-      if (!bank || !d) {
-        fail(cmd.line, "crash needs bank<k> <duration> in a federated world");
-        continue;
-      }
-      world_->crash_host(world_->bank_host(*bank), *d);
-    } else if (cmd.verb == "expect") {
-      if (a.empty()) {
-        fail(cmd.line, "empty expect");
-        continue;
-      }
-      if (a[0] == "balance" && a.size() == 3) {
-        const auto who = parse_user_ref(a[1]);
-        const auto want = to_int(a[2]);
-        if (!who || !want || !in_range(*who)) {
-          fail(cmd.line, "expect balance <user> <n>");
-          continue;
-        }
-        const EPenny got = world_->isp(who->first).user(who->second).balance;
-        if (got != *want)
-          fail(cmd.line, "expect balance " + a[1] + ": got " +
-                             std::to_string(got) + ", want " + a[2]);
-      } else if (a[0] == "violations" && a.size() == 2) {
-        const auto want = to_int(a[1]);
-        const auto got = static_cast<std::int64_t>(
-            world_->federation().last_violations().size());
-        if (!want || got != *want)
-          fail(cmd.line, "expect violations: got " + std::to_string(got));
-      } else if (a[0] == "conservation") {
-        if (!world_->conservation_holds())
-          fail(cmd.line, "conservation violated");
-      } else {
-        fail(cmd.line, "unknown expectation: " + a[0]);
-      }
-    } else if (cmd.verb == "print") {
-      if (!a.empty() && a[0] == "balances") {
-        for (std::size_t i = 0; i < world_->params().n_isps; ++i) {
-          for (std::size_t u = 0; u < world_->params().users_per_isp; ++u) {
-            char line[96];
-            std::snprintf(line, sizeof line, "%s balance=%lld",
-                          net::make_user_address(i, u).str().c_str(),
-                          static_cast<long long>(
-                              world_->isp(i).user(u).balance));
-            result.output.emplace_back(line);
-          }
-        }
-      } else {
-        char line[64];
-        std::snprintf(line, sizeof line, "t=%s",
-                      sim::format_time(world_->now()).c_str());
-        result.output.emplace_back(line);
-      }
-    } else {
-      // spam / flip / policy model the mixed compliant/legacy deployment,
-      // which the all-compliant federated facade does not have.
-      fail(cmd.line,
-           "verb not supported in a federated world: " + cmd.verb);
-    }
-  }
-  return result;
+ScenarioResult run(const Scenario& scenario, FederatedZmailSystem& world) {
+  return run_commands(scenario, world);
 }
 
 }  // namespace zmail::core

@@ -1,4 +1,4 @@
-// Scenario DSL: a line-oriented script language over ZmailSystem.
+// Scenario DSL: a line-oriented script language over the Zmail worlds.
 //
 // Lets examples, tests, and bug reports describe a reproducible Zmail run
 // as text instead of C++:
@@ -10,6 +10,7 @@
 //     run 2h
 //     snapshot
 //     crash 1 20m        # durable store only: kill isp1, recover after 20m
+//     crash bank1 20m    # durable store only: kill member bank 1
 //     run 30m
 //     day
 //     flip 2
@@ -19,13 +20,22 @@
 //     print balances
 //
 // Users are written `isp.user` (e.g. `1.2`) or as full simulated addresses
-// (`u2@isp1.example`).  Durations take s/m/h/d suffixes.  `expect` lines
+// (`u2@isp1.example`).  Durations take s/m/h/d suffixes.  `send`'s subject
+// is every token after `subject` (default "scenario").  `expect` lines
 // turn the script into a checked regression; `ScenarioResult::ok()` is
 // false if any expectation failed.
+//
+// The same script runs against either world:
+//   - the central-bank world (ShardedSystem, any shard count) supports every
+//     verb; `crash` takes a compliant ISP index or `bank` / `bank0`;
+//   - the federated world (FederatedZmailSystem, scenario_runner --banks N)
+//     is all-compliant, so the mixed-deployment verbs `spam`, `flip` and
+//     `policy` fail with "verb not supported in a federated world"; `crash`
+//     takes `bank<k>` (only the member banks are durable there), and
+//     `expect violations` reads the federation's last verify.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -41,7 +51,7 @@ struct ScenarioError {
   std::string message;
 };
 
-// A parsed script: opaque command list plus the world parameters.
+// A parsed script: the command list plus the world parameters.
 class Scenario {
  public:
   // Parses the script text; returns nullopt and fills `error` on the first
@@ -52,9 +62,8 @@ class Scenario {
   const ZmailParams& params() const noexcept { return params_; }
   // Harnesses overlay configuration the script language does not cover
   // (e.g. scenario_runner --store-dir enables the durable store) before
-  // handing the scenario to a ScenarioRunner.
+  // building the world and running the scenario.
   ZmailParams& mutable_params() noexcept { return params_; }
-  std::size_t command_count() const noexcept { return commands_.size(); }
 
   // The world seed (from the script's `seed=` key, default 1).  Writable so
   // harnesses can run replica variations of one script (the scenario_runner
@@ -62,16 +71,14 @@ class Scenario {
   std::uint64_t seed() const noexcept { return seed_; }
   void set_seed(std::uint64_t s) noexcept { seed_ = s; }
 
- private:
-  friend class ScenarioRunner;
-  friend class FederatedScenarioRunner;
-
   struct Command {
     std::size_t line = 0;
     std::string verb;
     std::vector<std::string> args;
   };
+  const std::vector<Command>& commands() const noexcept { return commands_; }
 
+ private:
   ZmailParams params_;
   std::uint64_t seed_ = 1;
   std::vector<Command> commands_;
@@ -86,43 +93,17 @@ struct ScenarioResult {
   std::string output_text() const;
 };
 
-// Executes a parsed scenario against a fresh world.  By default the world
-// is a single whole ZmailSystem (byte-identical to the pre-sharding
-// runner); pass ShardOptions{.shards = N} to run the same script against an
-// N-way partitioned world on the sharded engine.
-class ScenarioRunner {
- public:
-  explicit ScenarioRunner(const Scenario& scenario, ShardOptions shards = {});
-
-  ScenarioResult run();
-
-  // The world outlives run() so tests can inspect final state.
-  ShardedSystem& world() noexcept { return *world_; }
-  // Legacy accessor: the whole world when unsharded, shard 0 otherwise.
-  ZmailSystem& system() noexcept { return world_->shard(0); }
-
- private:
-  const Scenario& scenario_;
-  std::unique_ptr<ShardedSystem> world_;
-};
-
-// Executes a parsed scenario against a FederatedZmailSystem with `n_banks`
-// member banks (scenario_runner --banks N).  The federated world is
-// all-compliant, so the mixed-deployment verbs (`spam`, `flip`, `policy`)
-// fail cleanly; `crash bank<k> <dur>` crashes member bank k (durable store
-// required), and `expect violations` reads the federation's last verify.
-class FederatedScenarioRunner {
- public:
-  FederatedScenarioRunner(const Scenario& scenario, std::size_t n_banks);
-
-  ScenarioResult run();
-
-  FederatedZmailSystem& world() noexcept { return *world_; }
-
- private:
-  const Scenario& scenario_;
-  std::unique_ptr<FederatedZmailSystem> world_;
-};
+// Executes the scenario's commands in order against `world`, which the
+// caller builds from params() and seed() and which outlives the run so the
+// final state can be inspected:
+//
+//     ShardedSystem world(s.params(), s.seed(), ShardOptions{.shards = 4});
+//     const ScenarioResult r = run(s, world);
+//
+// Both overloads share one command loop; see the header comment for what
+// differs between the worlds.
+ScenarioResult run(const Scenario& scenario, ShardedSystem& world);
+ScenarioResult run(const Scenario& scenario, FederatedZmailSystem& world);
 
 // --- Parsing helpers exposed for reuse and direct testing -----------------
 

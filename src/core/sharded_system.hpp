@@ -123,6 +123,10 @@ class ShardedSystem {
     return shards_[0]->params().is_compliant(i);
   }
   std::size_t bank_index() const noexcept { return shards_[0]->bank_index(); }
+  // The central world's one bank, named the way FederatedZmailSystem names
+  // its member banks (bank_host(0) == bank_index()).
+  std::size_t bank_count() const noexcept { return 1; }
+  std::size_t bank_host(std::size_t) const noexcept { return bank_index(); }
   Isp& isp(IspId i);
   const Isp& isp(IspId i) const;
   Bank& bank() { return shards_[0]->bank(); }

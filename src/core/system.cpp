@@ -333,7 +333,8 @@ void ZmailSystem::make_compliant_owned(IspId isp, std::uint64_t bank_seq) {
 
 bool ZmailSystem::buy_epennies(const net::EmailAddress& user, EPenny n) {
   std::size_t i = 0, u = 0;
-  if (!net::decode_user_address(user, i, u) || !params_.is_compliant(i))
+  if (!net::decode_user_address(user, i, u) || i >= params_.n_isps ||
+      u >= params_.users_per_isp || !params_.is_compliant(i))
     return false;
   if (trace::enabled()) trace::set_sim_now(sim_.now());
   const bool ok = isps_[i]->user_buy(u, n);
@@ -343,7 +344,8 @@ bool ZmailSystem::buy_epennies(const net::EmailAddress& user, EPenny n) {
 
 bool ZmailSystem::sell_epennies(const net::EmailAddress& user, EPenny n) {
   std::size_t i = 0, u = 0;
-  if (!net::decode_user_address(user, i, u) || !params_.is_compliant(i))
+  if (!net::decode_user_address(user, i, u) || i >= params_.n_isps ||
+      u >= params_.users_per_isp || !params_.is_compliant(i))
     return false;
   if (trace::enabled()) trace::set_sim_now(sim_.now());
   const bool ok = isps_[i]->user_sell(u, n);

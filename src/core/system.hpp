@@ -119,6 +119,8 @@ class ZmailSystem {
   using MultiSendResult = SendOutcome;
 
   // --- User e-penny trades (Section 4.2) -----------------------------------
+  // False when `user` is not an in-range user of a compliant ISP, or when
+  // the ISP refuses the trade.
   bool buy_epennies(const net::EmailAddress& user, EPenny n);
   bool sell_epennies(const net::EmailAddress& user, EPenny n);
 

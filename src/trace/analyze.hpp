@@ -112,7 +112,7 @@ std::map<std::string, StageStats> breakdown(
     const std::vector<TraceEvent>& events);
 
 // {"<stage>": {count, total_us, mean_us, min_us, max_us}} — the
-// "trace_breakdown" object of the zmail-obs-v2 snapshot.
+// "trace_breakdown" object of the zmail-obs-v3 snapshot.
 json::Value breakdown_to_json(const std::map<std::string, StageStats>& b);
 
 }  // namespace zmail::trace

@@ -117,6 +117,17 @@ const Value* Value::find(const std::string& key) const noexcept {
   return nullptr;
 }
 
+bool Value::erase(const std::string& key) {
+  if (kind_ != Kind::kObject) return false;
+  for (auto it = object_.begin(); it != object_.end(); ++it) {
+    if (it->first == key) {
+      object_.erase(it);
+      return true;
+    }
+  }
+  return false;
+}
+
 const std::vector<std::pair<std::string, Value>>& Value::items() const {
   ZMAIL_ASSERT(kind_ == Kind::kObject);
   return object_;

@@ -81,6 +81,8 @@ class Value {
   Value& operator[](const std::string& key);
   // nullptr when absent.
   const Value* find(const std::string& key) const noexcept;
+  // Removes `key` (and its value) from an object; false when absent.
+  bool erase(const std::string& key);
   const std::vector<std::pair<std::string, Value>>& items() const;
 
   // Serializes; indent <= 0 emits the compact single-line form.

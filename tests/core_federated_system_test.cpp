@@ -132,5 +132,20 @@ TEST(FederatedSystem, ConservationRequiresRunningTotalsToMatchTheScan) {
   EXPECT_FALSE(sys.conservation_holds());
 }
 
+// A decodable address outside the world (ISP 7, user 999) is a bad address,
+// not an out-of-range index.
+TEST(FederatedSystem, TradesRefuseOutOfRangeAddresses) {
+  FederatedZmailSystem sys(fed_params(), 2, 7);
+  for (const auto& who : {net::make_user_address(7, 0),
+                          net::make_user_address(0, 999)}) {
+    EXPECT_EQ(sys.buy_epennies(who, 5).result, TradeResult::kBadAddress)
+        << who.str();
+    EXPECT_EQ(sys.sell_epennies(who, 5).result, TradeResult::kBadAddress)
+        << who.str();
+  }
+  EXPECT_TRUE(sys.buy_epennies(net::make_user_address(0, 0), 5).ok());
+  EXPECT_TRUE(sys.conservation_holds());
+}
+
 }  // namespace
 }  // namespace zmail::core

@@ -28,7 +28,7 @@ TEST(ObsToJson, IspMetricsCarriesEveryCounter) {
   EXPECT_EQ(j.find("refused_no_balance")->as_uint64(), 1u);
   // Field count guards against new IspMetrics counters being forgotten in
   // the exporter: one JSON key per struct field.
-  EXPECT_EQ(j.items().size(), 22u);
+  EXPECT_EQ(j.items().size(), 28u);
 }
 
 TEST(ObsToJson, StatsShapes) {
@@ -83,7 +83,7 @@ TEST(ObsRegistry, ProvidersAreLazyAndOrdered) {
   EXPECT_EQ(calls, 0);  // lazy: nothing invoked at registration
   const json::Value j = reg.snapshot();
   EXPECT_EQ(calls, 2);
-  EXPECT_EQ(j.find("schema")->as_string(), "zmail-obs-v1");
+  EXPECT_EQ(j.find("schema")->as_string(), "zmail-obs-v3");
   // Registration order == serialization order (after the schema key).
   EXPECT_EQ(j.items()[1].first, "first");
   EXPECT_EQ(j.items()[2].first, "second");
@@ -114,7 +114,7 @@ TEST(ObsRegistry, WriteFileRoundTripsThroughParser) {
   ss << f.rdbuf();
   const auto parsed = json::parse(ss.str(), &err);
   ASSERT_TRUE(parsed.has_value()) << err;
-  EXPECT_EQ(parsed->find("schema")->as_string(), "zmail-obs-v1");
+  EXPECT_EQ(parsed->find("schema")->as_string(), "zmail-obs-v3");
   // add_system is lazy: run_for happened after registration, and the file
   // must reflect the post-run state.
   EXPECT_EQ(parsed->find("system")->find("sim_time")->as_int64(),

@@ -52,7 +52,7 @@ TEST(ScenarioParse, MinimalScript) {
   ASSERT_TRUE(s.has_value());
   EXPECT_EQ(s->params().n_isps, 2u);
   EXPECT_EQ(s->params().users_per_isp, 3u);
-  EXPECT_EQ(s->command_count(), 0u);
+  EXPECT_EQ(s->commands().size(), 0u);
 }
 
 TEST(ScenarioParse, CommentsAndBlanksIgnored) {
@@ -62,7 +62,7 @@ TEST(ScenarioParse, CommentsAndBlanksIgnored) {
       "\n"
       "send 0.0 1.1\n");
   ASSERT_TRUE(s.has_value());
-  EXPECT_EQ(s->command_count(), 1u);
+  EXPECT_EQ(s->commands().size(), 1u);
 }
 
 TEST(ScenarioParse, CompliantMask) {
@@ -112,8 +112,8 @@ TEST(ScenarioRun, SendAndExpectBalance) {
       "expect balance 1.1 11\n"
       "expect conservation\n");
   ASSERT_TRUE(s.has_value());
-  ScenarioRunner runner(*s);
-  const ScenarioResult r = runner.run();
+  ShardedSystem world(s->params(), s->seed());
+  const ScenarioResult r = run(*s, world);
   EXPECT_TRUE(r.ok()) << (r.failures.empty() ? "" : r.failures[0].message);
   EXPECT_EQ(r.commands_executed, 5u);
 }
@@ -123,8 +123,8 @@ TEST(ScenarioRun, FailedExpectationIsReported) {
       "world isps=2 users=2 balance=10\n"
       "expect balance 0.0 999\n");
   ASSERT_TRUE(s.has_value());
-  ScenarioRunner runner(*s);
-  const ScenarioResult r = runner.run();
+  ShardedSystem world(s->params(), s->seed());
+  const ScenarioResult r = run(*s, world);
   ASSERT_EQ(r.failures.size(), 1u);
   EXPECT_EQ(r.failures[0].line, 2u);
   EXPECT_NE(r.failures[0].message.find("want 999"), std::string::npos);
@@ -140,9 +140,9 @@ TEST(ScenarioRun, SnapshotAndViolationsExpectation) {
       "expect violations 0\n"
       "expect conservation\n");
   ASSERT_TRUE(s.has_value());
-  ScenarioRunner runner(*s);
-  EXPECT_TRUE(runner.run().ok());
-  EXPECT_EQ(runner.system().bank().seq(), 1u);
+  ShardedSystem world(s->params(), s->seed());
+  EXPECT_TRUE(run(*s, world).ok());
+  EXPECT_EQ(world.bank().seq(), 1u);
 }
 
 TEST(ScenarioRun, SpamBuySellDayFlip) {
@@ -158,13 +158,13 @@ TEST(ScenarioRun, SpamBuySellDayFlip) {
       "run 10m\n"
       "expect conservation\n");
   ASSERT_TRUE(s.has_value());
-  ScenarioRunner runner(*s);
-  const ScenarioResult r = runner.run();
+  ShardedSystem world(s->params(), s->seed());
+  const ScenarioResult r = run(*s, world);
   EXPECT_TRUE(r.ok()) << (r.failures.empty() ? "" : r.failures[0].message);
-  EXPECT_TRUE(runner.system().is_compliant(2));
+  EXPECT_TRUE(world.is_compliant(2));
   // 30 initial + 20 bought - 5 sold, plus any spam windfall that happened
   // to land on this user.
-  const auto u = runner.system().isp(1).user(1);
+  const auto u = world.isp(1).user(1);
   EXPECT_EQ(u.balance, 45 + u.lifetime_received_paid);
 }
 
@@ -173,8 +173,8 @@ TEST(ScenarioRun, PrintBalancesProducesOutput) {
       "world isps=2 users=2 balance=7\n"
       "print balances\n");
   ASSERT_TRUE(s.has_value());
-  ScenarioRunner runner(*s);
-  const ScenarioResult r = runner.run();
+  ShardedSystem world(s->params(), s->seed());
+  const ScenarioResult r = run(*s, world);
   ASSERT_EQ(r.output.size(), 4u);
   EXPECT_NE(r.output[0].find("balance=7"), std::string::npos);
   EXPECT_NE(r.output_text().find("u1@isp1.example"), std::string::npos);
@@ -187,13 +187,13 @@ TEST(ScenarioRun, PolicyVerbSetsUserOverrides) {
       "spam 2.0 count=10\n"   // legacy spammer
       "run 1h\n");
   ASSERT_TRUE(s.has_value());
-  ScenarioRunner runner(*s);
-  const ScenarioResult r = runner.run();
+  ShardedSystem world(s->params(), s->seed());
+  const ScenarioResult r = run(*s, world);
   EXPECT_TRUE(r.ok()) << (r.failures.empty() ? "" : r.failures[0].message);
   // ISP 0's users discard legacy mail; ISP 1's accept it.
-  EXPECT_EQ(runner.system().isp(0).metrics().emails_delivered, 0u);
-  EXPECT_GT(runner.system().isp(0).metrics().emails_discarded +
-                runner.system().isp(1).metrics().emails_delivered,
+  EXPECT_EQ(world.isp(0).metrics().emails_delivered, 0u);
+  EXPECT_GT(world.isp(0).metrics().emails_discarded +
+                world.isp(1).metrics().emails_delivered,
             0u);
 }
 
@@ -204,8 +204,8 @@ TEST(ScenarioRun, PolicyVerbRejectsBadArguments) {
       "policy 0 frobnicate\n"
       "policy 0\n");
   ASSERT_TRUE(s.has_value());
-  ScenarioRunner runner(*s);
-  EXPECT_EQ(runner.run().failures.size(), 3u);
+  ShardedSystem world(s->params(), s->seed());
+  EXPECT_EQ(run(*s, world).failures.size(), 3u);
 }
 
 TEST(ScenarioRun, OutOfRangeUserRefsFailGracefully) {
@@ -216,8 +216,8 @@ TEST(ScenarioRun, OutOfRangeUserRefsFailGracefully) {
       "buy 3.3 10\n"
       "expect balance 7.7 1\n");
   ASSERT_TRUE(s.has_value());
-  ScenarioRunner runner(*s);
-  const ScenarioResult r = runner.run();
+  ShardedSystem world(s->params(), s->seed());
+  const ScenarioResult r = run(*s, world);
   EXPECT_EQ(r.failures.size(), 4u);  // reported, not crashed
   EXPECT_EQ(r.commands_executed, 4u);
 }
@@ -227,8 +227,8 @@ TEST(ScenarioRun, BuyRefusalIsAFailure) {
       "world isps=2 users=2 balance=5\n"
       "buy 0.0 100000\n");  // far beyond the user's real-money account
   ASSERT_TRUE(s.has_value());
-  ScenarioRunner runner(*s);
-  EXPECT_FALSE(runner.run().ok());
+  ShardedSystem world(s->params(), s->seed());
+  EXPECT_FALSE(run(*s, world).ok());
 }
 
 // --- The durable-store verbs ---------------------------------------------------
@@ -249,8 +249,8 @@ TEST(ScenarioRun, CrashVerbRequiresTheStore) {
       "world isps=2 users=2\n"
       "crash 0 10m\n");
   ASSERT_TRUE(s.has_value());
-  ScenarioRunner runner(*s);
-  const ScenarioResult r = runner.run();
+  ShardedSystem world(s->params(), s->seed());
+  const ScenarioResult r = run(*s, world);
   ASSERT_EQ(r.failures.size(), 1u);
   EXPECT_NE(r.failures[0].message.find("durable store"), std::string::npos);
 }
@@ -267,16 +267,170 @@ TEST(ScenarioRun, CrashVerbRecoversFromTheStore) {
       "run 1h\n"
       "crash 7 10m\n"    // no such host: reported, not asserted
       "crash bank\n"     // missing duration
+      "crash bank1 10m\n"  // the central world has one bank
       "expect conservation\n"
       "expect violations 0\n");
   ASSERT_TRUE(s.has_value());
   s->mutable_params().store.enabled = true;
   s->mutable_params().store.dir = "scenario_crash_test_store";
-  ScenarioRunner runner(*s);
-  const ScenarioResult r = runner.run();
-  EXPECT_EQ(r.failures.size(), 2u);  // exactly the two malformed crash lines
-  EXPECT_EQ(runner.system().state_recoveries(), 2u);
+  ShardedSystem world(s->params(), s->seed());
+  const ScenarioResult r = run(*s, world);
+  EXPECT_EQ(r.failures.size(), 3u);  // exactly the malformed crash lines
+  for (const ScenarioError& f : r.failures)
+    EXPECT_EQ(f.message, "crash needs <compliant-isp|bank> <duration>");
+  EXPECT_EQ(world.state_recoveries(), 2u);
   std::filesystem::remove_all("scenario_crash_test_store");
+}
+
+// --- Send subjects ---------------------------------------------------------------
+
+std::string first_subject(const Isp& isp, std::size_t user) {
+  const auto& inbox = isp.inbox(UserId(user));
+  return inbox.empty() ? std::string("<empty inbox>")
+                       : inbox.front().msg.subject();
+}
+
+TEST(ScenarioRun, SendSubjectIsEveryTokenAfterTheKeyword) {
+  const auto s = Scenario::parse(
+      "world isps=2 users=2 balance=10\n"
+      "send 0.0 1.1 subject Hello there, world\n"
+      "send 1.0 0.1\n"
+      "run 10m\n");
+  ASSERT_TRUE(s.has_value());
+  ShardedSystem world(s->params(), s->seed());
+  EXPECT_TRUE(run(*s, world).ok());
+  EXPECT_EQ(first_subject(world.isp(1), 1), "Hello there, world");
+  EXPECT_EQ(first_subject(world.isp(0), 1), "scenario");
+}
+
+TEST(FederatedScenarioRun, SendSubjectIsEveryTokenAfterTheKeyword) {
+  const auto s = Scenario::parse(
+      "world isps=2 users=2 balance=10\n"
+      "send 0.0 1.1 subject Hello there\n"
+      "run 10m\n");
+  ASSERT_TRUE(s.has_value());
+  FederatedZmailSystem world(s->params(), 2, s->seed());
+  EXPECT_TRUE(run(*s, world).ok());
+  EXPECT_EQ(first_subject(world.isp(1), 1), "Hello there");
+}
+
+// --- The federated world (scenario_runner --banks N) -------------------------------
+
+TEST(FederatedScenarioRun, RefusedTradesReportTheirVerb) {
+  const auto s = Scenario::parse(
+      "world isps=2 users=2 balance=5\n"
+      "buy 0.0 100000\n"    // far beyond the user's real-money account
+      "sell 0.1 100000\n"   // far beyond the user's e-penny balance
+      "buy 1.1 1\n");
+  ASSERT_TRUE(s.has_value());
+  FederatedZmailSystem world(s->params(), 2, s->seed());
+  const ScenarioResult r = run(*s, world);
+  ASSERT_EQ(r.failures.size(), 2u);
+  EXPECT_EQ(r.failures[0].line, 2u);
+  EXPECT_EQ(r.failures[0].message, "buy refused");
+  EXPECT_EQ(r.failures[1].line, 3u);
+  EXPECT_EQ(r.failures[1].message, "sell refused");
+}
+
+TEST(FederatedScenarioRun, CrashWithoutTheStoreIsRefused) {
+  const auto s = Scenario::parse(
+      "world isps=2 users=2\n"
+      "crash bank1 10m\n");
+  ASSERT_TRUE(s.has_value());
+  FederatedZmailSystem world(s->params(), 2, s->seed());
+  const ScenarioResult r = run(*s, world);
+  ASSERT_EQ(r.failures.size(), 1u);
+  EXPECT_EQ(r.failures[0].message,
+            "crash requires the durable store (--store-dir)");
+}
+
+TEST(FederatedScenarioRun, CrashTargetsMemberBanksOnly) {
+  auto s = Scenario::parse(
+      "world isps=2 users=2 balance=50 retry=1\n"
+      "send 0.0 1.1\n"
+      "run 10m\n"
+      "crash bank9 10m\n"   // out of range: two banks
+      "crash 0 10m\n"       // ISPs are not durable in a federated world
+      "crash bank1\n"       // missing duration
+      "crash bank1 10m\n"
+      "run 1h\n"
+      "expect conservation\n");
+  ASSERT_TRUE(s.has_value());
+  const std::string dir = "scenario_federated_crash_store";
+  s->mutable_params().store.enabled = true;
+  s->mutable_params().store.dir = dir;
+  {
+    FederatedZmailSystem world(s->params(), 2, s->seed());
+    const ScenarioResult r = run(*s, world);
+    EXPECT_EQ(r.failures.size(), 3u);
+    for (std::size_t k = 0; k < r.failures.size(); ++k) {
+      EXPECT_EQ(r.failures[k].line, 4u + k);
+      EXPECT_EQ(r.failures[k].message,
+                "crash needs bank<k> <duration> in a federated world");
+    }
+    EXPECT_EQ(world.state_recoveries(), 1u);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(FederatedScenarioRun, MixedDeploymentVerbsAreRejected) {
+  const auto s = Scenario::parse(
+      "world isps=2 users=2\n"
+      "spam 0.0 count=3\n"
+      "flip 1\n"
+      "policy 0 discard\n");
+  ASSERT_TRUE(s.has_value());
+  FederatedZmailSystem world(s->params(), 2, s->seed());
+  const ScenarioResult r = run(*s, world);
+  ASSERT_EQ(r.failures.size(), 3u);
+  EXPECT_EQ(r.failures[0].message,
+            "verb not supported in a federated world: spam");
+  EXPECT_EQ(r.failures[1].message,
+            "verb not supported in a federated world: flip");
+  EXPECT_EQ(r.failures[2].message,
+            "verb not supported in a federated world: policy");
+  EXPECT_EQ(r.commands_executed, 3u);
+  EXPECT_EQ(world.total_isp_metrics().emails_sent_compliant +
+                world.total_isp_metrics().emails_sent_local,
+            0u);
+}
+
+TEST(FederatedScenarioRun, ExpectViolationsReadsTheFederation) {
+  const auto s = Scenario::parse(
+      "world isps=4 users=2 balance=50\n"
+      "send 0.0 3.1\n"
+      "send 2.1 1.0\n"
+      "run 1h\n"
+      "snapshot\n"
+      "run 30m\n"
+      "expect violations 0\n"
+      "expect violations 2\n"
+      "expect conservation\n");
+  ASSERT_TRUE(s.has_value());
+  FederatedZmailSystem world(s->params(), 2, s->seed());
+  const ScenarioResult r = run(*s, world);
+  EXPECT_GT(world.federation().metrics().rounds_completed, 0u);
+  EXPECT_TRUE(world.federation().last_violations().empty());
+  ASSERT_EQ(r.failures.size(), 1u);
+  EXPECT_EQ(r.failures[0].line, 8u);
+  EXPECT_EQ(r.failures[0].message, "expect violations: got 0");
+}
+
+TEST(FederatedScenarioRun, DayResetsEveryIsp) {
+  const std::string sends =
+      "world isps=3 users=2 balance=50\n"
+      "send 0.0 1.0\n"
+      "send 1.0 2.0\n"
+      "send 2.0 0.0\n";
+  for (const bool day : {false, true}) {
+    const auto s = Scenario::parse(sends + (day ? "day\n" : ""));
+    ASSERT_TRUE(s.has_value());
+    FederatedZmailSystem world(s->params(), 2, s->seed());
+    EXPECT_TRUE(run(*s, world).ok());
+    for (std::size_t i = 0; i < 3; ++i)
+      EXPECT_EQ(world.isp(i).user(UserId(0)).sent, day ? 0 : 1)
+          << "isp " << i << (day ? " after" : " before") << " day";
+  }
 }
 
 }  // namespace

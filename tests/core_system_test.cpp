@@ -352,5 +352,22 @@ TEST(System, AccessingLegacyIspAsCompliantAborts) {
   EXPECT_DEATH((void)sys.isp(2), "non-compliant");
 }
 
+// A decodable address outside the world (ISP 7 of 2, user 999 of 3) is
+// refused, never indexed: with or without a compliant mask.
+TEST(System, TradesRefuseOutOfRangeAddresses) {
+  for (const bool masked : {false, true}) {
+    ZmailParams p = two_isps();
+    if (masked) p.compliant = {true, true};
+    ZmailSystem sys(p, 1);
+    for (const auto& who : {user(7, 0), user(0, 999)}) {
+      EXPECT_FALSE(sys.buy_epennies(who, 5)) << who.str();
+      EXPECT_FALSE(sys.sell_epennies(who, 5)) << who.str();
+    }
+    EXPECT_EQ(sys.isp(0).metrics().bank_buys_attempted, 0u);
+    EXPECT_TRUE(sys.buy_epennies(user(0, 2), 5));
+    EXPECT_TRUE(sys.conservation_holds());
+  }
+}
+
 }  // namespace
 }  // namespace zmail::core

@@ -60,9 +60,9 @@ void drive_mixed_traffic(World& w, std::uint64_t seed, int rounds) {
   w.run_for(sim::kHour);
 }
 
-// The kV1 snapshot carries only merged, partition-independent values (the
-// kV2 "engine" section reports windows/messages, which legitimately vary
-// with the partition), so it is the right artifact for bit-identity.
+// The snapshot's world state (everything outside the run-dependent
+// sections: the "engine" section reports windows/messages, which
+// legitimately vary with the partition) is the bit-identity artifact.
 std::string run_and_snapshot(std::size_t shards, std::size_t threads,
                              std::uint64_t seed) {
   ShardOptions o;
@@ -80,7 +80,7 @@ std::string run_and_snapshot(std::size_t shards, std::size_t threads,
   // The audit runs at every window edge.
   EXPECT_EQ(w.barrier_audit().checks, w.engine_stats()->windows);
   EXPECT_TRUE(w.conservation_holds());
-  return obs::snapshot(w, obs::Schema::kV1).dump();
+  return obs::world_state(obs::snapshot(w)).dump();
 }
 
 TEST(ShardedDeterminismTest, MergedSnapshotBitIdenticalAcrossShardCounts) {
@@ -109,8 +109,8 @@ TEST(ShardedDeterminismTest, SingleShardMatchesWholeSystemByteForByte) {
   EXPECT_EQ(facade.engine_stats(), nullptr);
   drive_mixed_traffic(facade, 708, 40);
 
-  EXPECT_EQ(obs::snapshot(plain, obs::Schema::kV2).dump(),
-            obs::snapshot(facade, obs::Schema::kV2).dump());
+  // The whole snapshot, run-dependent sections included.
+  EXPECT_EQ(obs::snapshot(plain).dump(), obs::snapshot(facade).dump());
 }
 
 TEST(ShardedDeterminismTest, BitIdenticalUnderFaultPlan) {
@@ -141,9 +141,41 @@ TEST(ShardedDeterminismTest, BitIdenticalUnderFaultPlan) {
                 : w.barrier_audit().messages.front());
     EXPECT_TRUE(w.conservation_holds());
     EXPECT_GT(w.total_isp_metrics().emails_retransmitted, 0u);
-    return obs::snapshot(w, obs::Schema::kV1).dump();
+    return obs::world_state(obs::snapshot(w)).dump();
   };
 
+  const std::string s2 = run(2);
+  const std::string s4 = run(4);
+  const std::string s8 = run(8);
+  EXPECT_EQ(s2, s4);
+  EXPECT_EQ(s4, s8);
+}
+
+// The durable store's totals (checkpoints, WAL records and bytes, syncs)
+// are world state too: every ISP and the bank log the same commands
+// whichever shard they live on.
+TEST(ShardedDeterminismTest, BitIdenticalWithDurableStore) {
+  const auto run = [&](std::size_t shards) {
+    ZmailParams p = world_params();
+    p.store.enabled = true;
+    p.store.dir = "sharded_store_identity_" + std::to_string(shards);
+    ShardOptions o;
+    o.shards = shards;
+    json::Value world;
+    {
+      ShardedSystem w(p, 919, o);
+      drive_mixed_traffic(w, 921, 40);
+      w.start_snapshot();
+      w.run_for(sim::kHour);
+      EXPECT_TRUE(w.conservation_holds());
+      world = obs::world_state(obs::snapshot(w));
+    }
+    std::filesystem::remove_all(p.store.dir);
+    EXPECT_GT(world.find("store")->find("checkpoints")->as_uint64(), 0u);
+    EXPECT_GT(world.find("store")->find("wal_records_appended")->as_uint64(),
+              0u);
+    return world.dump();
+  };
   const std::string s2 = run(2);
   const std::string s4 = run(4);
   const std::string s8 = run(8);
@@ -260,7 +292,7 @@ TEST(ShardedRecoveryTest, CrashAndRecoverIspOnNonZeroShard) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(ShardedEngineTest, V2SnapshotExportsEngineSection) {
+TEST(ShardedEngineTest, SnapshotExportsEngineSection) {
   ShardOptions o;
   o.shards = 4;
   ShardedSystem w(world_params(), 51, o);
@@ -273,12 +305,17 @@ TEST(ShardedEngineTest, V2SnapshotExportsEngineSection) {
   EXPECT_EQ(st->mailbox_overflows, 0u);
   EXPECT_GT(w.barrier_audit().checks, 0u);
 
-  const json::Value j = obs::snapshot(w, obs::Schema::kV2);
-  const std::string s = j.dump();
-  EXPECT_NE(s.find("\"engine\""), std::string::npos);
-  EXPECT_NE(s.find("\"cross_shard_msgs\""), std::string::npos);
-  EXPECT_NE(s.find("\"barrier_audit_failures\""), std::string::npos);
-  EXPECT_NE(s.find("\"calendar_rebase_count\""), std::string::npos);
+  const json::Value j = obs::snapshot(w);
+  const json::Value* eng = j.find("engine");
+  ASSERT_NE(eng, nullptr);
+  EXPECT_EQ(eng->find("windows")->as_uint64(), st->windows);
+  EXPECT_EQ(eng->find("cross_shard_msgs")->as_uint64(), st->cross_shard_msgs);
+  EXPECT_NE(eng->find("barrier_audit_failures"), nullptr);
+  EXPECT_EQ(eng->find("calendar_rebase_count")->as_uint64(),
+            w.calendar_rebases());
+  // Nothing partition-dependent outside the run-dependent sections.
+  EXPECT_EQ(j.find("calendar_rebase_count"), nullptr);
+  EXPECT_EQ(obs::world_state(j).find("engine"), nullptr);
 }
 
 TEST(ShardedEngineTest, ComplianceFlipRoutesAcrossShards) {
@@ -380,6 +417,24 @@ TEST(ShardedBarrierAuditTest, QuietPointScanCatchesStaleRunningTotal) {
 
     const_cast<Money*>(users.accounts().data())[2] += Money::from_cents(1);
     EXPECT_FALSE(w.conservation_holds()) << shards;
+  }
+}
+
+// A decodable address outside the world (ISP 70 of 8, user 999 of 3) is
+// refused at any shard count.
+TEST(ShardedEngineTest, TradesRefuseOutOfRangeAddresses) {
+  for (const std::size_t shards : {1u, 4u}) {
+    ShardOptions o;
+    o.shards = shards;
+    ShardedSystem w(world_params(), 71, o);
+    for (const auto& who : {net::make_user_address(70, 0),
+                            net::make_user_address(8, 0),
+                            net::make_user_address(0, 999)}) {
+      EXPECT_FALSE(w.buy_epennies(who, 5)) << who.str();
+      EXPECT_FALSE(w.sell_epennies(who, 5)) << who.str();
+    }
+    EXPECT_TRUE(w.buy_epennies(net::make_user_address(5, 2), 5));
+    EXPECT_TRUE(w.conservation_holds());
   }
 }
 

@@ -220,37 +220,35 @@ TEST_F(TraceIntegrationTest, ExportedRunReparsesAndValidates) {
   }
 }
 
-TEST_F(TraceIntegrationTest, ObsV2FoldsCountersAndBreakdown) {
+TEST_F(TraceIntegrationTest, ObsSnapshotFoldsCountersAndBreakdown) {
   ZmailSystem sys(small_params(), 29);
   sys.send_email(net::make_user_address(0, 0), net::make_user_address(1, 0),
-                 "v2", "b");
+                 "v3", "b");
   sys.run_for(sim::kHour);
 
-  // v1 must not know the v2 keys (byte-stable legacy schema) ...
-  const json::Value v1 = obs::snapshot(sys, obs::Schema::kV1);
-  EXPECT_EQ(v1.find("isp_totals")->find("emails_retransmitted"), nullptr);
-  EXPECT_EQ(v1.find("store"), nullptr);
-  EXPECT_EQ(v1.find("trace_breakdown"), nullptr);
+  // The snapshot carries the fault counters, bank idempotency counters,
+  // store totals, and the live trace breakdown ...
+  const json::Value j = obs::snapshot(sys);
+  ASSERT_NE(j.find("isp_totals"), nullptr);
+  EXPECT_NE(j.find("isp_totals")->find("emails_retransmitted"), nullptr);
+  ASSERT_NE(j.find("bank"), nullptr);
+  EXPECT_NE(j.find("bank")->find("duplicate_buys"), nullptr);
+  ASSERT_NE(j.find("store"), nullptr);
+  EXPECT_NE(j.find("store")->find("state_recoveries"), nullptr);
+  ASSERT_NE(j.find("trace_breakdown"), nullptr);
+  EXPECT_NE(j.find("trace_breakdown")->find("message"), nullptr);
+  ASSERT_NE(j.find("profiles"), nullptr);
 
-  // ... while v2 carries the fault counters, bank idempotency counters,
-  // store totals, and the live trace breakdown.
-  const json::Value v2 = obs::snapshot(sys, obs::Schema::kV2);
-  ASSERT_NE(v2.find("isp_totals"), nullptr);
-  EXPECT_NE(v2.find("isp_totals")->find("emails_retransmitted"), nullptr);
-  ASSERT_NE(v2.find("bank"), nullptr);
-  EXPECT_NE(v2.find("bank")->find("duplicate_buys"), nullptr);
-  ASSERT_NE(v2.find("store"), nullptr);
-  EXPECT_NE(v2.find("store")->find("state_recoveries"), nullptr);
-  ASSERT_NE(v2.find("trace_breakdown"), nullptr);
-  EXPECT_NE(v2.find("trace_breakdown")->find("message"), nullptr);
+  // ... and the wall-clock sections are exactly what world_state() drops.
+  const json::Value world = obs::world_state(j);
+  EXPECT_EQ(world.find("trace_breakdown"), nullptr);
+  EXPECT_EQ(world.find("profiles"), nullptr);
+  EXPECT_EQ(world.find("engine"), nullptr);
+  EXPECT_EQ(world.size() + 3, j.size());
 
   obs::MetricsRegistry reg;
   reg.add_system("sys", sys);
-  json::Value snap1 = reg.snapshot();
-  EXPECT_EQ(snap1.find("schema")->as_string(), "zmail-obs-v1");
-  reg.set_schema(obs::Schema::kV2);
-  json::Value snap2 = reg.snapshot();
-  EXPECT_EQ(snap2.find("schema")->as_string(), "zmail-obs-v2");
+  EXPECT_EQ(reg.snapshot().find("schema")->as_string(), "zmail-obs-v3");
 }
 
 }  // namespace
