@@ -1,5 +1,7 @@
-// Microbenchmarks for the crypto substrate: SHA-256, HMAC, XTEA-CTR,
-// RSA keygen/apply, NCR/DCR envelopes, NNC nonces, hashcash.
+// Microbenchmarks for the crypto substrate: SHA-256 (whole messages and
+// each compression kernel), HMAC, XTEA-CTR, RSA keygen/apply with either
+// key half, NCR/DCR envelopes on the ISP (public-key) and bank
+// (private-key) side, NNC nonces, hashcash.
 #include <benchmark/benchmark.h>
 
 #include "bench_micro_common.hpp"
@@ -30,6 +32,29 @@ void BM_Sha256(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha256)->Arg(64)->Arg(1024)->Arg(16384);
 
+// One compression kernel over range(0) consecutive 64-byte blocks.
+void BM_Sha256Compress(benchmark::State& state, crypto::Sha256Compress kernel) {
+  if (kernel == nullptr) {
+    state.SkipWithError("skipped: this CPU lacks the SHA extensions");
+    return;
+  }
+  const auto nblocks = static_cast<std::size_t>(state.range(0));
+  const crypto::Bytes data = make_data(64 * nblocks);
+  std::uint32_t h[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                        0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  for (auto _ : state) {
+    kernel(h, data.data(), nblocks);
+    benchmark::DoNotOptimize(h);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 64 *
+                          state.range(0));
+}
+BENCHMARK_CAPTURE(BM_Sha256Compress, portable,
+                  crypto::Sha256Compress{crypto::sha256_compress_portable})
+    ->Arg(1)->Arg(16);
+BENCHMARK_CAPTURE(BM_Sha256Compress, shani, crypto::sha256_compress_shani())
+    ->Arg(1)->Arg(16);
+
 void BM_HmacSha256(benchmark::State& state) {
   const crypto::Bytes key = make_data(32);
   const crypto::Bytes data = make_data(static_cast<std::size_t>(state.range(0)));
@@ -59,35 +84,58 @@ void BM_RsaKeygen(benchmark::State& state) {
 }
 BENCHMARK(BM_RsaKeygen);
 
-void BM_RsaApply(benchmark::State& state) {
+// `priv` times the bank's half (a ~62-bit exponent); the public half is
+// e = 65537.
+void BM_RsaApply(benchmark::State& state, bool priv) {
   Rng rng(8);
   const crypto::KeyPair keys = crypto::generate_keypair(rng);
+  const crypto::RsaKey& key = priv ? keys.priv : keys.pub;
   std::uint64_t m = 12345;
   for (auto _ : state) {
-    m = crypto::rsa_apply(keys.pub, m % keys.pub.n);
+    m = crypto::rsa_apply(key, m % key.n);
     benchmark::DoNotOptimize(m);
   }
 }
-BENCHMARK(BM_RsaApply);
+BENCHMARK_CAPTURE(BM_RsaApply, pub, false);
+BENCHMARK_CAPTURE(BM_RsaApply, priv, true);
 
-void BM_EnvelopeSeal(benchmark::State& state) {
+// A trade request or reply is about 41 bytes of plaintext.  The ISP seals
+// requests with the bank's public half and opens replies with it; the bank
+// opens requests and seals replies with its private half.
+void BM_EnvelopeSeal(benchmark::State& state, bool bank) {
   Rng rng(9);
   const crypto::KeyPair keys = crypto::generate_keypair(rng);
+  const crypto::RsaKey& key = bank ? keys.priv : keys.pub;
   const crypto::Bytes plain = make_data(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state)
-    benchmark::DoNotOptimize(crypto::ncr(keys.pub, plain, rng));
+  crypto::Envelope env;
+  for (auto _ : state) {
+    crypto::ncr_into(key, plain, rng, env);
+    benchmark::DoNotOptimize(env);
+  }
 }
-BENCHMARK(BM_EnvelopeSeal)->Arg(32)->Arg(1024);
+BENCHMARK_CAPTURE(BM_EnvelopeSeal, isp_pub, false)
+    ->Arg(32)->Arg(41)->Arg(1024);
+BENCHMARK_CAPTURE(BM_EnvelopeSeal, bank_priv, true)->Arg(41);
 
-void BM_EnvelopeUnseal(benchmark::State& state) {
+void BM_EnvelopeUnseal(benchmark::State& state, bool bank) {
   Rng rng(10);
   const crypto::KeyPair keys = crypto::generate_keypair(rng);
-  const crypto::Envelope env =
-      crypto::ncr(keys.pub, make_data(static_cast<std::size_t>(state.range(0))), rng);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(crypto::dcr(keys.priv, env));
+  const crypto::RsaKey& seal = bank ? keys.pub : keys.priv;
+  const crypto::RsaKey& open = bank ? keys.priv : keys.pub;
+  const crypto::Envelope env = crypto::ncr(
+      seal, make_data(static_cast<std::size_t>(state.range(0))), rng);
+  crypto::Bytes plain;
+  for (auto _ : state) {
+    if (!crypto::dcr_into(open, env, plain)) {
+      state.SkipWithError("envelope failed to open");
+      return;
+    }
+    benchmark::DoNotOptimize(plain);
+  }
 }
-BENCHMARK(BM_EnvelopeUnseal)->Arg(32)->Arg(1024);
+BENCHMARK_CAPTURE(BM_EnvelopeUnseal, bank_priv, true)
+    ->Arg(32)->Arg(41)->Arg(1024);
+BENCHMARK_CAPTURE(BM_EnvelopeUnseal, isp_pub, false)->Arg(41);
 
 void BM_NonceNext(benchmark::State& state) {
   crypto::NonceGenerator gen(42);

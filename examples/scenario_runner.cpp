@@ -154,22 +154,19 @@ telemetry::TelemetryConfig telemetry_config(const Args& args) {
 // Post-run telemetry export (single replica): merged series to CSV, the
 // default probe rules evaluated retrospectively (fires/clears logged via
 // the "probe" tag) with a console summary, and optionally the world's obs
-// v3 snapshot.  Returns 0 or the process exit code.
+// v3 snapshot, which reuses the same merge and probe report.  Returns 0 or
+// the process exit code.
 template <class World>
 int export_telemetry(
     const Args& args, const World& world,
     const std::vector<const telemetry::TelemetryRegistry*>& regs) {
-  telemetry::DeriveSpec spec;
-  spec.endowment_epennies = static_cast<double>(world.initial_endowment());
-  const std::vector<telemetry::Series> merged =
-      telemetry::merge_series(regs, spec);
+  const obs::MergedTelemetry telem = obs::merge_telemetry(
+      regs, world.initial_endowment(), /*log_transitions=*/true);
+  const std::vector<telemetry::Series>& merged = telem.series;
+  const telemetry::ProbeReport& report = telem.probes;
   std::size_t points = 0;
   for (const auto& s : merged) points += s.points.size();
 
-  telemetry::ProbeEngine probes;
-  for (telemetry::ProbeRule& r : telemetry::default_rules())
-    probes.add_rule(std::move(r));
-  const telemetry::ProbeReport report = probes.evaluate(merged);
   std::size_t transitions = 0;
   for (const auto& p : report.probes) transitions += p.transitions.size();
   std::printf(
@@ -188,7 +185,7 @@ int export_telemetry(
   }
   if (!args.telemetry_json.empty()) {
     obs::MetricsRegistry reg;
-    reg.add_system("scenario", world);
+    reg.add_system("scenario", world, &telem);
     std::string err;
     if (!reg.write_file(args.telemetry_json, &err)) {
       std::fprintf(stderr, "telemetry JSON export failed: %s\n", err.c_str());

@@ -15,23 +15,22 @@ namespace {
 // The telemetry sections, shared by every facade's snapshot: merged
 // deterministic series, engine series, and the default probe rules
 // evaluated over the run (without re-logging transitions the live run
-// already logged).
+// already logged), or the caller's `merged` of the same registries.
 void append_timeseries(
     json::Value& j,
     const std::vector<const telemetry::TelemetryRegistry*>& regs,
-    EPenny endowment_epennies) {
+    EPenny endowment_epennies, const MergedTelemetry* merged) {
   if (regs.empty()) return;
-  telemetry::DeriveSpec spec;
-  spec.endowment_epennies = static_cast<double>(endowment_epennies);
-  const std::vector<telemetry::Series> merged =
-      telemetry::merge_series(regs, spec);
-  j["timeseries"] = telemetry::timeseries_json(merged, /*engine=*/false);
-  j["timeseries_engine"] = telemetry::timeseries_json(merged, /*engine=*/true);
-  telemetry::ProbeEngine probes;
-  for (telemetry::ProbeRule& r : telemetry::default_rules())
-    probes.add_rule(std::move(r));
-  j["probes"] =
-      telemetry::to_json(probes.evaluate(merged, /*log_transitions=*/false));
+  MergedTelemetry own;
+  if (merged == nullptr) {
+    own = merge_telemetry(regs, endowment_epennies, /*log_transitions=*/false);
+    merged = &own;
+  }
+  j["timeseries"] =
+      telemetry::timeseries_json(merged->series, /*engine=*/false);
+  j["timeseries_engine"] =
+      telemetry::timeseries_json(merged->series, /*engine=*/true);
+  j["probes"] = telemetry::to_json(merged->probes);
 }
 
 void append_store(json::Value& j, const core::ZmailSystem::StoreTotals& st,
@@ -102,17 +101,22 @@ json::Value engine_section(const core::ShardedSystem& sys) {
   return eng;
 }
 
-void append_telemetry(json::Value& j, const core::ZmailSystem& sys) {
+void append_telemetry(json::Value& j, const core::ZmailSystem& sys,
+                      const MergedTelemetry* merged) {
   if (sys.telemetry())
-    append_timeseries(j, {sys.telemetry()}, sys.initial_endowment_owned());
+    append_timeseries(j, {sys.telemetry()}, sys.initial_endowment_owned(),
+                      merged);
 }
-void append_telemetry(json::Value& j, const core::ShardedSystem& sys) {
-  append_timeseries(j, sys.telemetry_registries(), sys.initial_endowment());
+void append_telemetry(json::Value& j, const core::ShardedSystem& sys,
+                      const MergedTelemetry* merged) {
+  append_timeseries(j, sys.telemetry_registries(), sys.initial_endowment(),
+                    merged);
 }
 
 // The central-bank world snapshot, one body for both facades.
 template <class World>
-json::Value central_snapshot(const World& sys) {
+json::Value central_snapshot(const World& sys,
+                             const MergedTelemetry* telemetry) {
   const core::ZmailParams& p = sys.params();
   json::Value j = json::Value::object();
   j["sim_time"] = static_cast<std::int64_t>(sys.now());
@@ -163,7 +167,7 @@ json::Value central_snapshot(const World& sys) {
         trace::breakdown_to_json(trace::breakdown(trace::collect()));
     j["profiles"] = trace::profiles_to_json();
   }
-  append_telemetry(j, sys);
+  append_telemetry(j, sys, telemetry);
   return j;
 }
 
@@ -276,17 +280,34 @@ json::Value to_json(const Sample& s) {
   return j;
 }
 
-json::Value snapshot(const core::ZmailSystem& sys) {
-  return central_snapshot(sys);
+MergedTelemetry merge_telemetry(
+    const std::vector<const telemetry::TelemetryRegistry*>& regs,
+    EPenny endowment_epennies, bool log_transitions) {
+  telemetry::DeriveSpec spec;
+  spec.endowment_epennies = static_cast<double>(endowment_epennies);
+  MergedTelemetry out;
+  out.series = telemetry::merge_series(regs, spec);
+  telemetry::ProbeEngine probes;
+  for (telemetry::ProbeRule& r : telemetry::default_rules())
+    probes.add_rule(std::move(r));
+  out.probes = probes.evaluate(out.series, log_transitions);
+  return out;
 }
 
-json::Value snapshot(const core::ShardedSystem& sys) {
+json::Value snapshot(const core::ZmailSystem& sys,
+                     const MergedTelemetry* telemetry) {
+  return central_snapshot(sys, telemetry);
+}
+
+json::Value snapshot(const core::ShardedSystem& sys,
+                     const MergedTelemetry* telemetry) {
   // Single shard == the whole world: same code path, same bytes.
-  if (!sys.sharded()) return central_snapshot(sys.shard(0));
-  return central_snapshot(sys);
+  if (!sys.sharded()) return central_snapshot(sys.shard(0), telemetry);
+  return central_snapshot(sys, telemetry);
 }
 
-json::Value snapshot(const core::FederatedZmailSystem& sys) {
+json::Value snapshot(const core::FederatedZmailSystem& sys,
+                     const MergedTelemetry* telemetry) {
   const core::ZmailParams& p = sys.params();
   const core::BankFederation& fed = sys.federation();
   json::Value j = json::Value::object();
@@ -342,7 +363,8 @@ json::Value snapshot(const core::FederatedZmailSystem& sys) {
 
   append_store(j, sys.store_totals(), sys.state_recoveries());
   if (sys.telemetry())
-    append_timeseries(j, {sys.telemetry()}, sys.initial_endowment());
+    append_timeseries(j, {sys.telemetry()}, sys.initial_endowment(),
+                      telemetry);
   return j;
 }
 

@@ -23,6 +23,8 @@
 #include "core/metrics.hpp"
 #include "core/sharded_system.hpp"
 #include "core/system.hpp"
+#include "telemetry/probes.hpp"
+#include "telemetry/series.hpp"
 #include "util/json.hpp"
 #include "util/stats.hpp"
 
@@ -50,12 +52,31 @@ json::Value to_json(const Histogram& h);
 // millions of points; the consumers in EXPERIMENTS.md only read quantiles).
 json::Value to_json(const Sample& s);
 
+// A run's telemetry as the snapshot sections use it: the registries'
+// series merged (with the derived series), and the default probe rules
+// evaluated over them.
+struct MergedTelemetry {
+  std::vector<telemetry::Series> series;
+  telemetry::ProbeReport probes;
+};
+
+// `log_transitions` logs each probe fire/clear through the "probe"
+// component; pass false when the live run already logged them.
+MergedTelemetry merge_telemetry(
+    const std::vector<const telemetry::TelemetryRegistry*>& regs,
+    EPenny endowment_epennies, bool log_transitions);
+
+// Every snapshot() below takes an optional `telemetry`: the caller's
+// merge_telemetry() of this same world, written as the telemetry sections
+// instead of merging and probing the registries a second time.
+
 // Whole-system snapshot: aggregate + per-ISP metrics, bank metrics,
 // delivery latency, network totals, conservation status, durable-store
 // totals and the "engine" section; "trace_breakdown" + "profiles" when the
 // flight recorder is on; "timeseries", "timeseries_engine" and "probes"
 // (the default health rules evaluated over the run) when telemetry is on.
-json::Value snapshot(const core::ZmailSystem& sys);
+json::Value snapshot(const core::ZmailSystem& sys,
+                     const MergedTelemetry* telemetry = nullptr);
 
 // Snapshot of a (possibly sharded) world, same layout.  Every world value
 // is merged partition-independently (summed counters, ISP-index-ordered
@@ -63,14 +84,16 @@ json::Value snapshot(const core::ZmailSystem& sys);
 // so in deterministic mode world_state() of it is bit-identical at any
 // shard or thread count >= 2; with shards == 1 the whole snapshot matches
 // the whole-system one byte for byte.
-json::Value snapshot(const core::ShardedSystem& sys);
+json::Value snapshot(const core::ShardedSystem& sys,
+                     const MergedTelemetry* telemetry = nullptr);
 
 // Snapshot of a federated-bank world: ISP totals plus a "federation"
 // section (rounds, inter-bank messages/bytes, cross-bank settlements,
 // clearing transfers, robustness counters, violations, and per-bank
 // seq/clearing positions), network and conservation status, the per-bank
 // durable-store totals, and the telemetry sections when telemetry is on.
-json::Value snapshot(const core::FederatedZmailSystem& sys);
+json::Value snapshot(const core::FederatedZmailSystem& sys,
+                     const MergedTelemetry* telemetry = nullptr);
 
 // Named lazy metric sources.  Providers are invoked at snapshot() time, so
 // a registry built before a run observes the state at export, not at
@@ -83,11 +106,14 @@ class MetricsRegistry {
   // wins, the new provider is dropped.  Silently shadowing the first in
   // the JSON output was the old behaviour, and it hid wiring bugs.
   bool add(std::string name, Provider provider);
-  // Convenience: registers obs::snapshot(sys) for any of the three worlds.
-  // The system must outlive the registry's last snapshot() call.
+  // Convenience: registers obs::snapshot(sys, telemetry) for any of the
+  // three worlds.  The system (and `telemetry`, when given) must outlive
+  // the registry's last snapshot() call.
   template <class World>
-  bool add_system(std::string name, const World& sys) {
-    return add(std::move(name), [&sys] { return obs::snapshot(sys); });
+  bool add_system(std::string name, const World& sys,
+                  const MergedTelemetry* telemetry = nullptr) {
+    return add(std::move(name),
+               [&sys, telemetry] { return obs::snapshot(sys, telemetry); });
   }
 
   std::size_t size() const noexcept { return providers_.size(); }

@@ -277,8 +277,12 @@ ScenarioResult run_commands(const Scenario& scenario, World& world) {
     const auto& a = cmd.args;
 
     if (cmd.verb == "send") {
-      if (a.size() < 2) {
-        fail(result, cmd.line, "send needs <from> <to>");
+      // Anything after <to> must be `subject` and at least one word, so a
+      // forgotten keyword fails instead of sending the default subject.
+      const bool stray_tail =
+          a.size() > 2 && (a[2] != "subject" || a.size() < 4);
+      if (a.size() < 2 || stray_tail) {
+        fail(result, cmd.line, "send needs <from> <to> [subject <words...>]");
         continue;
       }
       const auto from = parse_user_ref(a[0]);
@@ -288,7 +292,7 @@ ScenarioResult run_commands(const Scenario& scenario, World& world) {
         continue;
       }
       std::string subject = "scenario";
-      if (a.size() > 3 && a[2] == "subject") {
+      if (a.size() > 3) {
         subject = a[3];
         for (std::size_t i = 4; i < a.size(); ++i) subject += " " + a[i];
       }

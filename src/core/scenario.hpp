@@ -21,7 +21,8 @@
 //
 // Users are written `isp.user` (e.g. `1.2`) or as full simulated addresses
 // (`u2@isp1.example`).  Durations take s/m/h/d suffixes.  `send`'s subject
-// is every token after `subject` (default "scenario").  `expect` lines
+// is every token after `subject` (default "scenario"); any other token
+// after the recipient fails the line.  `expect` lines
 // turn the script into a checked regression; `ScenarioResult::ok()` is
 // false if any expectation failed.
 //

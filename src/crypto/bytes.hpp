@@ -23,6 +23,16 @@ void put_i64(Bytes& b, std::int64_t v);
 void put_bytes(Bytes& b, const Bytes& v);
 void put_string(Bytes& b, std::string_view v);
 
+// Big-endian store into a fixed buffer (the stack-only crypto paths).
+inline void store_u32(std::uint8_t* p, std::uint32_t v) noexcept {
+  for (int i = 0; i < 4; ++i)
+    p[i] = static_cast<std::uint8_t>(v >> (24 - 8 * i));
+}
+inline void store_u64(std::uint8_t* p, std::uint64_t v) noexcept {
+  for (int i = 0; i < 8; ++i)
+    p[i] = static_cast<std::uint8_t>(v >> (56 - 8 * i));
+}
+
 // Sequential reader over a Bytes buffer.  Reads past the end abort (protocol
 // messages in the simulation are never truncated unless a test does it on
 // purpose, and those tests use `ok()`).

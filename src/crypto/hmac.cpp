@@ -1,33 +1,43 @@
 #include "crypto/hmac.hpp"
 
+#include <array>
+#include <cstring>
+
 namespace zmail::crypto {
+
+HmacSha256::HmacSha256(const std::uint8_t* key, std::size_t len) noexcept {
+  constexpr std::size_t kBlock = 64;
+  std::array<std::uint8_t, kBlock> k{};
+  if (len > kBlock) {
+    const Digest d = sha256(key, len);
+    std::memcpy(k.data(), d.data(), d.size());
+  } else if (len > 0) {
+    std::memcpy(k.data(), key, len);
+  }
+
+  std::array<std::uint8_t, kBlock> pad{};
+  for (std::size_t i = 0; i < kBlock; ++i)
+    pad[i] = static_cast<std::uint8_t>(k[i] ^ 0x36);
+  inner_.update(pad.data(), pad.size());
+  for (std::size_t i = 0; i < kBlock; ++i)
+    pad[i] = static_cast<std::uint8_t>(k[i] ^ 0x5c);
+  outer_.update(pad.data(), pad.size());
+}
+
+Digest HmacSha256::finish(Sha256& inner) const noexcept {
+  const Digest inner_digest = inner.finish();
+  Sha256 outer = outer_;
+  outer.update(inner_digest.data(), inner_digest.size());
+  return outer.finish();
+}
 
 namespace {
 Digest hmac_impl(const Bytes& key, const std::uint8_t* msg,
                  std::size_t len) noexcept {
-  constexpr std::size_t kBlock = 64;
-  Bytes k = key;
-  if (k.size() > kBlock) {
-    const Digest d = sha256(k);
-    k.assign(d.begin(), d.end());
-  }
-  k.resize(kBlock, 0);
-
-  Bytes ipad(kBlock), opad(kBlock);
-  for (std::size_t i = 0; i < kBlock; ++i) {
-    ipad[i] = static_cast<std::uint8_t>(k[i] ^ 0x36);
-    opad[i] = static_cast<std::uint8_t>(k[i] ^ 0x5c);
-  }
-
-  Sha256 inner;
-  inner.update(ipad);
+  const HmacSha256 mac(key.data(), key.size());
+  Sha256 inner = mac.begin();
   inner.update(msg, len);
-  const Digest inner_digest = inner.finish();
-
-  Sha256 outer;
-  outer.update(opad);
-  outer.update(inner_digest.data(), inner_digest.size());
-  return outer.finish();
+  return mac.finish(inner);
 }
 }  // namespace
 

@@ -1,6 +1,6 @@
 #include "crypto/nonce.hpp"
 
-#include "crypto/hmac.hpp"
+#include <array>
 
 namespace zmail::crypto {
 
@@ -16,16 +16,24 @@ Nonce get_nonce(ByteReader& r) {
   return n;
 }
 
-NonceGenerator::NonceGenerator(std::uint64_t secret) noexcept {
-  put_u64(secret_, secret);
+namespace {
+std::array<std::uint8_t, 8> be64(std::uint64_t v) noexcept {
+  std::array<std::uint8_t, 8> out{};
+  store_u64(out.data(), v);
+  return out;
 }
+}  // namespace
+
+NonceGenerator::NonceGenerator(std::uint64_t secret) noexcept
+    : prf_(be64(secret).data(), 8) {}
 
 Nonce NonceGenerator::next() noexcept {
   Nonce n;
   n.counter = counter_++;
-  Bytes msg;
-  put_u64(msg, n.counter);
-  const Digest d = hmac_sha256(secret_, msg);
+  const std::array<std::uint8_t, 8> msg = be64(n.counter);
+  Sha256 inner = prf_.begin();
+  inner.update(msg.data(), msg.size());
+  const Digest d = prf_.finish(inner);
   std::uint64_t prf = 0;
   for (int i = 0; i < 8; ++i) prf = (prf << 8) | d[static_cast<std::size_t>(i)];
   n.prf = prf;

@@ -10,12 +10,62 @@ std::uint64_t mulmod(std::uint64_t a, std::uint64_t b,
       static_cast<__uint128_t>(a) * b % m);
 }
 
+namespace {
+
+// Montgomery arithmetic modulo an odd m < 2^63 with R = 2^64: a product
+// costs three 64-bit multiplies instead of a 128-by-64 division, and the
+// bound on m keeps every intermediate of redc() inside 128 bits.
+class Montgomery {
+ public:
+  explicit Montgomery(std::uint64_t m) noexcept : m_(m) {
+    // Newton's iteration for m^-1 mod 2^64: m*m == 1 (mod 8), and each
+    // step doubles the number of correct low bits (3, 6, 12, 24, 48, 96).
+    std::uint64_t inv = m;
+    for (int i = 0; i < 5; ++i) inv *= 2 - m * inv;
+    neg_inv_ = 0 - inv;
+    const std::uint64_t r = (0 - m) % m;  // 2^64 mod m
+    r2_ = mulmod(r, r, m);
+  }
+
+  std::uint64_t to(std::uint64_t a) const noexcept { return mul(a, r2_); }
+  std::uint64_t from(std::uint64_t a) const noexcept { return redc(a); }
+  std::uint64_t mul(std::uint64_t a, std::uint64_t b) const noexcept {
+    return redc(static_cast<__uint128_t>(a) * b);
+  }
+
+ private:
+  // t * R^-1 mod m, for t < m * R.
+  std::uint64_t redc(__uint128_t t) const noexcept {
+    const std::uint64_t q = static_cast<std::uint64_t>(t) * neg_inv_;
+    const auto r = static_cast<std::uint64_t>(
+        (t + static_cast<__uint128_t>(q) * m_) >> 64);
+    return r >= m_ ? r - m_ : r;
+  }
+
+  std::uint64_t m_;
+  std::uint64_t neg_inv_;
+  std::uint64_t r2_;
+};
+
+}  // namespace
+
 std::uint64_t powmod(std::uint64_t base, std::uint64_t exp,
                      std::uint64_t m) noexcept {
   ZMAIL_ASSERT(m != 0);
   if (m == 1) return 0;
-  std::uint64_t result = 1;
   base %= m;
+  if ((m & 1) != 0 && m < (1ULL << 63)) {
+    const Montgomery mont(m);
+    std::uint64_t result = mont.to(1);
+    base = mont.to(base);
+    while (exp > 0) {
+      if (exp & 1) result = mont.mul(result, base);
+      base = mont.mul(base, base);
+      exp >>= 1;
+    }
+    return mont.from(result);
+  }
+  std::uint64_t result = 1;
   while (exp > 0) {
     if (exp & 1) result = mulmod(result, base, m);
     base = mulmod(base, base, m);

@@ -14,7 +14,9 @@ namespace zmail::crypto {
 std::uint64_t mulmod(std::uint64_t a, std::uint64_t b,
                      std::uint64_t m) noexcept;
 
-// (base ^ exp) mod m.
+// (base ^ exp) mod m.  Odd m < 2^63 (every RSA modulus and Miller-Rabin
+// candidate here) runs in Montgomery form; other m take the 128-bit `%`
+// path.  Both return the same value.
 std::uint64_t powmod(std::uint64_t base, std::uint64_t exp,
                      std::uint64_t m) noexcept;
 

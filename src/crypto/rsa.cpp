@@ -1,5 +1,7 @@
 #include "crypto/rsa.hpp"
 
+#include <array>
+
 #include "crypto/hmac.hpp"
 #include "crypto/primes.hpp"
 #include "crypto/xtea.hpp"
@@ -67,19 +69,28 @@ bool Envelope::deserialize_into(const Bytes& wire, Envelope& env) {
 
 namespace {
 
+using KeyMaterial = std::array<std::uint8_t, 16>;
+
 // Session-key bytes from the two RSA-transported halves.
-Bytes session_key_material(std::uint64_t k1, std::uint64_t k2) {
-  Bytes material;
-  put_u64(material, k1);
-  put_u64(material, k2);
+KeyMaterial session_key_material(std::uint64_t k1, std::uint64_t k2) noexcept {
+  KeyMaterial material{};
+  store_u64(material.data(), k1);
+  store_u64(material.data() + 8, k2);
   return material;
 }
 
-Digest envelope_mac(const Bytes& key_material, const Envelope& env) {
-  Bytes mac_input;
-  put_u64(mac_input, env.ctr_nonce);
-  put_bytes(mac_input, env.ciphertext);
-  return hmac_sha256(key_material, mac_input);
+// HMAC over ctr_nonce || u32 length || ciphertext (the put_u64 + put_bytes
+// encoding), streamed into the hash rather than copied into a buffer.
+Digest envelope_mac(const KeyMaterial& key_material,
+                    const Envelope& env) noexcept {
+  const HmacSha256 mac(key_material.data(), key_material.size());
+  std::uint8_t header[12] = {};
+  store_u64(header, env.ctr_nonce);
+  store_u32(header + 8, static_cast<std::uint32_t>(env.ciphertext.size()));
+  Sha256 inner = mac.begin();
+  inner.update(header, sizeof header);
+  inner.update(env.ciphertext);
+  return mac.finish(inner);
 }
 
 }  // namespace
@@ -100,8 +111,8 @@ void ncr_into(const RsaKey& key, const Bytes& plaintext, zmail::Rng& rng,
   env.wrapped_key2 = rsa_apply(key, k2);
   env.ctr_nonce = rng.next_u64();
 
-  const Bytes material = session_key_material(k1, k2);
-  const XteaKey sym = xtea_key_from_bytes(material);
+  const KeyMaterial material = session_key_material(k1, k2);
+  const XteaKey sym = xtea_key_from_bytes(material.data(), material.size());
   xtea_ctr_into(plaintext, sym, env.ctr_nonce, env.ciphertext);
   env.mac = envelope_mac(material, env);
 }
@@ -117,10 +128,10 @@ bool dcr_into(const RsaKey& key, const Envelope& env, Bytes& plain_out) {
     return false;
   const std::uint64_t k1 = rsa_apply(key, env.wrapped_key1);
   const std::uint64_t k2 = rsa_apply(key, env.wrapped_key2);
-  const Bytes material = session_key_material(k1, k2);
+  const KeyMaterial material = session_key_material(k1, k2);
   if (!digest_equal(envelope_mac(material, env), env.mac))
     return false;  // tampered, replay-spliced, or wrong key
-  const XteaKey sym = xtea_key_from_bytes(material);
+  const XteaKey sym = xtea_key_from_bytes(material.data(), material.size());
   xtea_ctr_into(env.ciphertext, sym, env.ctr_nonce, plain_out);
   return true;
 }

@@ -3,6 +3,11 @@
 // Used for message digests inside the NCR/DCR hybrid envelope, for the PRF
 // behind the paper's NNC nonce function, and for the hashcash proof-of-work
 // baseline (Section 2.3's computational-cost approaches).
+//
+// Two compression kernels produce the same bytes: a portable scalar one and,
+// on x86-64 CPUs with the SHA extensions, one built on the SHA-NI
+// instructions.  The kernel is chosen once, on first use, from the running
+// CPU's feature bits; other builds compile the portable kernel only.
 #pragma once
 
 #include <array>
@@ -14,6 +19,16 @@
 namespace zmail::crypto {
 
 using Digest = std::array<std::uint8_t, 32>;
+
+// Folds `nblocks` consecutive 64-byte blocks at `p` into the eight-word
+// chaining state.
+using Sha256Compress = void (*)(std::uint32_t* state, const std::uint8_t* p,
+                                std::size_t nblocks) noexcept;
+
+void sha256_compress_portable(std::uint32_t* state, const std::uint8_t* p,
+                              std::size_t nblocks) noexcept;
+// The SHA-NI kernel, or nullptr when this CPU (or build) lacks it.
+Sha256Compress sha256_compress_shani() noexcept;
 
 class Sha256 {
  public:
@@ -31,8 +46,6 @@ class Sha256 {
   Digest finish() noexcept;
 
  private:
-  void process_block(const std::uint8_t* block) noexcept;
-
   std::array<std::uint32_t, 8> h_;
   std::array<std::uint8_t, 64> buf_;
   std::size_t buf_len_ = 0;
@@ -40,6 +53,7 @@ class Sha256 {
 };
 
 // One-shot helpers.
+Digest sha256(const std::uint8_t* data, std::size_t len) noexcept;
 Digest sha256(const Bytes& data) noexcept;
 Digest sha256(std::string_view data) noexcept;
 std::string digest_hex(const Digest& d);

@@ -20,7 +20,9 @@ std::uint64_t xtea_encrypt_block(std::uint64_t block,
 std::uint64_t xtea_decrypt_block(std::uint64_t block,
                                  const XteaKey& key) noexcept;
 
-// CTR mode: encryption and decryption are the same operation.
+// CTR mode: encryption and decryption are the same operation.  Block i's
+// keystream is E(nonce ^ i), emitted big-endian; blocks are computed four
+// at a time, which changes no output byte.
 Bytes xtea_ctr(const Bytes& data, const XteaKey& key,
                std::uint64_t nonce) noexcept;
 
@@ -31,6 +33,8 @@ void xtea_ctr_into(const Bytes& data, const XteaKey& key, std::uint64_t nonce,
                    Bytes& out) noexcept;
 
 // Derive an XTEA key from arbitrary key material (first 16 bytes of SHA-256).
+XteaKey xtea_key_from_bytes(const std::uint8_t* material,
+                            std::size_t len) noexcept;
 XteaKey xtea_key_from_bytes(const Bytes& material) noexcept;
 
 }  // namespace zmail::crypto

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "core/system.hpp"
+#include "telemetry/registry.hpp"
 
 namespace zmail {
 namespace {
@@ -67,6 +68,25 @@ TEST(ObsSnapshot, ReflectsSystemActivity) {
   ASSERT_NE(j.find("conservation"), nullptr);
   EXPECT_TRUE(j.find("conservation")->find("holds")->as_bool());
   EXPECT_EQ(j.find("per_isp")->size(), 2u);
+}
+
+TEST(ObsSnapshot, CallerMergedTelemetryWritesTheSameSections) {
+  core::ZmailSystem sys = make_system();
+  telemetry::TelemetryConfig cfg;
+  cfg.enabled = true;
+  cfg.sample_period = sim::kMinute;
+  sys.enable_telemetry(cfg);
+  sys.send_email(net::make_user_address(0, 0), net::make_user_address(1, 1),
+                 "hi", "body");
+  sys.run_for(sim::kHour);
+
+  const obs::MergedTelemetry merged = obs::merge_telemetry(
+      {sys.telemetry()}, sys.initial_endowment_owned(),
+      /*log_transitions=*/false);
+  ASSERT_FALSE(merged.series.empty());
+  const json::Value own = obs::snapshot(sys);
+  ASSERT_NE(own.find("timeseries"), nullptr);
+  EXPECT_EQ(obs::snapshot(sys, &merged).dump(), own.dump());
 }
 
 TEST(ObsRegistry, ProvidersAreLazyAndOrdered) {

@@ -314,6 +314,43 @@ TEST(FederatedScenarioRun, SendSubjectIsEveryTokenAfterTheKeyword) {
   EXPECT_EQ(first_subject(world.isp(1), 1), "Hello there");
 }
 
+// Tokens after <to> without the `subject` keyword (or the keyword with no
+// words) are a script error, not a send with the default subject.
+const char* const kStraySendTail =
+    "world isps=2 users=2 balance=10\n"
+    "send 0.0 1.1 Hello\n"
+    "send 0.1 1.0 subject\n"
+    "send 1.0 0.0 subject ok\n"
+    "run 10m\n";
+
+template <class World>
+void expect_stray_send_tail_fails(const Scenario& s, World& world) {
+  const ScenarioResult r = run(s, world);
+  ASSERT_EQ(r.failures.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(r.failures[i].line, i + 2);
+    EXPECT_EQ(r.failures[i].message,
+              "send needs <from> <to> [subject <words...>]");
+  }
+  EXPECT_TRUE(world.isp(1).inbox(UserId(1)).empty());  // nothing was sent
+  EXPECT_TRUE(world.isp(1).inbox(UserId(0)).empty());
+  EXPECT_EQ(first_subject(world.isp(0), 0), "ok");
+}
+
+TEST(ScenarioRun, SendRejectsTokensAfterRecipientWithoutSubject) {
+  const auto s = Scenario::parse(kStraySendTail);
+  ASSERT_TRUE(s.has_value());
+  ShardedSystem world(s->params(), s->seed());
+  expect_stray_send_tail_fails(*s, world);
+}
+
+TEST(FederatedScenarioRun, SendRejectsTokensAfterRecipientWithoutSubject) {
+  const auto s = Scenario::parse(kStraySendTail);
+  ASSERT_TRUE(s.has_value());
+  FederatedZmailSystem world(s->params(), 2, s->seed());
+  expect_stray_send_tail_fails(*s, world);
+}
+
 // --- The federated world (scenario_runner --banks N) -------------------------------
 
 TEST(FederatedScenarioRun, RefusedTradesReportTheirVerb) {

@@ -38,6 +38,21 @@ TEST(Hmac, LongKeyIsHashedFirst) {
       "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
 }
 
+TEST(Hmac, KeyedOnceStreamsToTheSameTag) {
+  // Keys shorter than, equal to and longer than the 64-byte block.
+  for (std::size_t key_len : {0u, 16u, 64u, 65u, 131u}) {
+    const Bytes key(key_len, 0x5a);
+    const Bytes msg = from_string("ctr nonce, length, then the ciphertext");
+    const HmacSha256 mac(key.data(), key.size());
+    for (int use = 0; use < 2; ++use) {  // begin() leaves the key reusable
+      Sha256 inner = mac.begin();
+      inner.update(msg.data(), 9);
+      inner.update(msg.data() + 9, msg.size() - 9);
+      EXPECT_EQ(mac.finish(inner), hmac_sha256(key, msg)) << key_len;
+    }
+  }
+}
+
 TEST(Hmac, DifferentKeysDifferentMacs) {
   const Bytes k1 = from_string("key1"), k2 = from_string("key2");
   EXPECT_NE(hmac_sha256(k1, std::string_view("msg")),

@@ -51,6 +51,44 @@ TEST(Nonce, SameSecretSameStream) {
   for (int i = 0; i < 50; ++i) EXPECT_EQ(a.next(), b.next());
 }
 
+// Recorded from the implementation that re-derived the HMAC pads for every
+// nonce; the keyed-once PRF must reproduce the stream exactly.
+TEST(Nonce, GoldenStream) {
+  const std::uint64_t expected_prf[16] = {
+      0xA4B398EF41899A3B,
+      0x03E2563FE5231D29,
+      0x19EC00CAEC8D3120,
+      0x62FD1D9066C507BB,
+      0x7786B6CB11907CC5,
+      0xD82515451D1C94A5,
+      0xC610B15A5E794D8B,
+      0x84EB71508BF2F083,
+      0x0C1D828B3D01F568,
+      0x6CD01612421A3CDD,
+      0x1D3F78B2417BEE8C,
+      0x865AE622EBF4BFC5,
+      0xA910DFE2F22E240C,
+      0x8BEC86CBBA10A02E,
+      0x9B4EAC3982B89940,
+      0x493EB4206E08F177,
+  };
+  NonceGenerator gen(42);
+  for (std::uint64_t i = 0; i < 16; ++i)
+    EXPECT_EQ(gen.next(), (Nonce{i, expected_prf[i]})) << i;
+}
+
+TEST(Nonce, GoldenStreamAfterRestore) {
+  NonceGenerator gen(42);
+  gen.next();
+  gen.restore_issued(1'000'000);
+  EXPECT_EQ(gen.next(), (Nonce{1'000'000, 0x0313D02C196F3144}));
+  EXPECT_EQ(gen.next(), (Nonce{1'000'001, 0xE9453B4823C965E0}));
+  gen.restore_issued(0xFFFFFFFFFFFFFFF0);
+  EXPECT_EQ(gen.next(), (Nonce{0xFFFFFFFFFFFFFFF0, 0x39F0071D7000B218}));
+  EXPECT_EQ(gen.next(), (Nonce{0xFFFFFFFFFFFFFFF1, 0x786F5BB96396999A}));
+  EXPECT_EQ(gen.issued(), 0xFFFFFFFFFFFFFFF2);
+}
+
 TEST(Nonce, SerializationRoundTrips) {
   NonceGenerator gen(9);
   const Nonce n = gen.next();

@@ -26,6 +26,58 @@ TEST(Powmod, FermatLittleTheorem) {
     EXPECT_EQ(powmod(a, p - 1, p), 1u);
 }
 
+// Square-and-multiply over mulmod's 128-bit `%`: the reference that
+// powmod's Montgomery path must equal.
+std::uint64_t powmod_reference(std::uint64_t base, std::uint64_t exp,
+                               std::uint64_t m) {
+  if (m == 1) return 0;
+  std::uint64_t result = 1;
+  base %= m;
+  for (; exp > 0; exp >>= 1) {
+    if (exp & 1) result = mulmod(result, base, m);
+    base = mulmod(base, base, m);
+  }
+  return result;
+}
+
+TEST(Powmod, MontgomeryMatchesReferenceOnRandomOddModuli) {
+  zmail::Rng rng(63);
+  const std::uint64_t kTop = (1ULL << 63) - 1;  // largest Montgomery modulus
+  for (int i = 0; i < 2000; ++i) {
+    // Spread the modulus over every bit length up to 63.
+    const int bits = 2 + static_cast<int>(rng.next_below(62));
+    std::uint64_t m = (rng.next_u64() >> (64 - bits)) | 1;
+    if (i < 8) m = kTop - 2 * static_cast<std::uint64_t>(i);
+    const std::uint64_t base = rng.next_u64();  // usually >= m
+    const std::uint64_t exp = rng.next_u64() >> rng.next_below(64);
+    EXPECT_EQ(powmod(base, exp, m), powmod_reference(base, exp, m))
+        << base << "^" << exp << " mod " << m;
+  }
+}
+
+TEST(Powmod, EdgeModuliAndExponents) {
+  zmail::Rng rng(7);
+  for (int i = 0; i < 200; ++i) {
+    const std::uint64_t base = rng.next_u64();
+    const std::uint64_t exp = rng.next_u64();
+    EXPECT_EQ(powmod(base, exp, 1), 0u);
+    EXPECT_EQ(powmod(base, exp, 3), powmod_reference(base, exp, 3));
+    EXPECT_EQ(powmod(base, 0, 3), 1u);
+    // Even moduli and moduli >= 2^63 take the 128-bit `%` path.
+    const std::uint64_t even = rng.next_u64() & ~1ULL;
+    if (even != 0) {
+      EXPECT_EQ(powmod(base, exp, even), powmod_reference(base, exp, even));
+    }
+    const std::uint64_t big = rng.next_u64() | (1ULL << 63);
+    EXPECT_EQ(powmod(base, exp, big), powmod_reference(base, exp, big));
+  }
+  const std::uint64_t m = 1'000'000'007;
+  EXPECT_EQ(powmod(m, 5, m), 0u);          // base == m
+  EXPECT_EQ(powmod(m + 2, 3, m), 8u);      // base > m
+  EXPECT_EQ(powmod(~0ULL, 0, m), 1u);      // exp == 0
+  EXPECT_EQ(powmod(0, 0, m), 1u);
+}
+
 TEST(IsPrime, SmallValues) {
   EXPECT_FALSE(is_prime_u64(0));
   EXPECT_FALSE(is_prime_u64(1));
