@@ -152,11 +152,19 @@ void r2b_checkpoint_latency(bench::Bench& harness) {
     sys.run_for(sim::kHour);
 
     auto t0 = std::chrono::steady_clock::now();
-    const crypto::Bytes state = sys.isp(0).serialize_state();
+    std::vector<store::SnapshotSection> sections;
+    sys.isp(0).serialize_sections(sections);
     const double ser = seconds_since(t0);
+    std::uint64_t state_bytes = 0;
+    for (const store::SnapshotSection& s : sections)
+      state_bytes += s.payload.size();
 
     t0 = std::chrono::steady_clock::now();
-    const bool restored = sys.isp(0).restore_state(state);
+    std::vector<core::Isp::RawSection> raw;
+    for (const store::SnapshotSection& s : sections)
+      raw.push_back(
+          core::Isp::RawSection{s.id, s.payload.data(), s.payload.size()});
+    const bool restored = sys.isp(0).restore_columnar(raw);
     const double deser = seconds_since(t0);
 
     t0 = std::chrono::steady_clock::now();
@@ -170,14 +178,14 @@ void r2b_checkpoint_latency(bench::Bench& harness) {
     if (!restored) bench::check(false, "r2b: self-restore must succeed");
 
     t.add_row({Table::num(std::uint64_t{users}),
-               Table::num(std::uint64_t{state.size()}),
+               Table::num(state_bytes),
                Table::num(ser * 1e6, 1) + " us",
                Table::num(deser * 1e6, 1) + " us",
                Table::num(ckpt * 1e6, 1) + " us",
                Table::num(disk_bytes) + " B"});
     json::Value row = json::Value::object();
     row["users_per_isp"] = std::uint64_t{users};
-    row["state_bytes"] = std::uint64_t{state.size()};
+    row["state_bytes"] = state_bytes;
     row["serialize_seconds"] = ser;
     row["deserialize_seconds"] = deser;
     row["checkpoint_seconds"] = ckpt;

@@ -14,7 +14,7 @@ namespace zmail::core {
 
 namespace {
 
-constexpr std::uint8_t kStateVersion = 1;
+constexpr std::uint8_t kFederationBlobVersion = 1;
 
 void put_bool(crypto::Bytes& b, bool v) { crypto::put_u8(b, v ? 1 : 0); }
 bool get_bool(crypto::ByteReader& r) { return r.get_u8() != 0; }
@@ -62,7 +62,7 @@ bool get_matrix_i64(crypto::ByteReader& r,
 crypto::Bytes BankFederation::serialize_state(std::size_t bank) const {
   const MemberBank& mb = banks_.at(bank);
   crypto::Bytes b;
-  crypto::put_u8(b, kStateVersion);
+  crypto::put_u8(b, kFederationBlobVersion);
   crypto::put_u64(b, params_.n_isps);
   crypto::put_u64(b, n_banks_);
   crypto::put_u64(b, bank);
@@ -148,7 +148,7 @@ bool BankFederation::restore_state(std::size_t bank,
                                    const crypto::Bytes& state) {
   MemberBank& mb = banks_.at(bank);
   crypto::ByteReader r(state);
-  if (r.get_u8() != kStateVersion) return false;
+  if (r.get_u8() != kFederationBlobVersion) return false;
   if (r.get_u64() != params_.n_isps || r.get_u64() != n_banks_ ||
       r.get_u64() != bank || !r.ok())
     return false;

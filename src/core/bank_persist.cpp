@@ -11,7 +11,7 @@ namespace zmail::core {
 
 namespace {
 
-constexpr std::uint8_t kStateVersion = 1;
+constexpr std::uint8_t kBankBlobVersion = 1;
 
 void put_bool(crypto::Bytes& b, bool v) { crypto::put_u8(b, v ? 1 : 0); }
 bool get_bool(crypto::ByteReader& r) { return r.get_u8() != 0; }
@@ -62,7 +62,7 @@ void Bank::log_op(WalOp op, const crypto::Bytes& payload) {
 
 crypto::Bytes Bank::serialize_state() const {
   crypto::Bytes b;
-  crypto::put_u8(b, kStateVersion);
+  crypto::put_u8(b, kBankBlobVersion);
 
   crypto::put_u32(b, static_cast<std::uint32_t>(accounts_.size()));
   for (Money a : accounts_) crypto::put_i64(b, a.micros());
@@ -116,7 +116,7 @@ crypto::Bytes Bank::serialize_state() const {
 
 bool Bank::restore_state(const crypto::Bytes& state) {
   crypto::ByteReader r(state);
-  if (r.get_u8() != kStateVersion) return false;
+  if (r.get_u8() != kBankBlobVersion) return false;
 
   const std::uint32_t n_acc = r.get_u32();
   if (!r.ok() || n_acc > (1u << 16)) return false;

@@ -69,8 +69,6 @@ class InvariantAuditor {
   void assert_ok() const;
 
  private:
-  void fail(std::string msg);
-
   ZmailSystem* sys_;
   Money initial_real_money_;
   bool expect_consistent_ = true;
@@ -106,8 +104,6 @@ class FederationAuditor {
   void assert_ok() const;
 
  private:
-  void fail(std::string msg);
-
   FederatedZmailSystem* sys_;
   Money initial_real_money_;
   InvariantReport report_;

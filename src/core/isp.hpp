@@ -35,7 +35,6 @@
 namespace zmail::store {
 class WalSink;
 struct SnapshotSection;
-struct SnapshotData;
 class SnapshotFileView;
 }  // namespace zmail::store
 
@@ -224,7 +223,7 @@ class Isp {
   // every mutating command logs its inputs before applying, and
   // apply_wal_record() re-invokes the same method with the sink detached
   // (so replay does not re-log) and the outbox discarded (replayed output
-  // was already transported pre-crash).  serialize_state()/restore_state()
+  // was already transported pre-crash).  The snapshot sections below
   // capture everything replay depends on — including the RNG and nonce
   // streams — except construction-time inputs (params, bank key, seeds)
   // and the user-facing inbox spool, which is mail storage, not settlement
@@ -251,16 +250,12 @@ class Isp {
   };
   void attach_wal(store::WalSink* wal) noexcept { wal_ = wal; }
   store::WalSink* wal() const noexcept { return wal_; }
-  crypto::Bytes serialize_state() const;
-  bool restore_state(const crypto::Bytes& state);
   void apply_wal_record(std::uint8_t op, const crypto::Bytes& payload);
 
-  // Columnar ("ZSNP" v2) snapshot rendition: one scalar-state section plus
-  // one raw little-endian section per user column, each with its own CRC.
-  // serialize_state()/restore_state() remain the v1 single-blob rendition
-  // (WAL-era snapshots, tests, and the row-serialization baseline);
-  // checkpoints write sections, and recovery restores them column-direct
-  // from a read-only mapping of the snapshot file.
+  // The ISP's one snapshot rendition, "ZSNP" v2 columnar: one scalar-state
+  // section plus one raw little-endian section per user column, each with
+  // its own CRC.  Checkpoints write sections, and recovery restores them
+  // column-direct from a read-only mapping of the snapshot file.
   void serialize_sections(std::vector<store::SnapshotSection>& out) const;
   // A borrowed snapshot section (mmap view or decoded buffer).
   struct RawSection {
@@ -269,11 +264,9 @@ class Isp {
     std::size_t size = 0;
   };
   bool restore_columnar(const std::vector<RawSection>& sections);
-  // Restores from a whole snapshot of either version: v1 state blobs go
-  // through restore_state(), v2 columnar sections through
-  // restore_columnar() (bulk column copies out of the mapping).
+  // Restores from a mapped v2 snapshot file through restore_columnar()
+  // (bulk column copies out of the mapping); a v1 file is rejected.
   bool restore_snapshot(const store::SnapshotFileView& view);
-  bool restore_snapshot(const store::SnapshotData& snap);
 
   // Testing hooks.
   void set_avail(EPenny v) noexcept { avail_ = v; }
@@ -375,7 +368,7 @@ class Isp {
   store::WalSink* wal_ = nullptr;
   IspMetrics metrics_;
   // Open bank-exchange trace spans (zmail::trace).  Deliberately NOT part
-  // of serialize_state: a crash orphans the open span, and the validator's
+  // of the snapshot: a crash orphans the open span, and the validator's
   // crash-forgives rule accounts for it; the reply handlers skip the end
   // emission when the id is 0 (fresh or recovered instance).
   std::uint64_t buy_trace_ = 0;

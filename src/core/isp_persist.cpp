@@ -3,20 +3,15 @@
 // of isp.cpp so the protocol logic stays readable; the two files share the
 // private state via the class.
 //
-// Replay correctness rests on determinism: serialize_state() captures every
-// input a mutating method reads — including the RNG stream (seal_into and
-// backoff jitter draw from it) and the nonce counter — so re-invoking the
-// logged commands in order reproduces the pre-crash state bit for bit.
+// Replay correctness rests on determinism: serialize_sections() captures
+// every input a mutating method reads — including the RNG stream (seal_into
+// and backoff jitter draw from it) and the nonce counter — so re-invoking
+// the logged commands in order reproduces the pre-crash state bit for bit.
 //
-// Two snapshot renditions coexist:
-//   v1 (serialize_state/restore_state) — one big-endian blob, per-user
-//     rows serialized field by field.  Byte layout frozen: it is what WAL-
-//     era snapshots on disk contain, what the round-trip tests pin, and
-//     the row-serialization baseline the E7 bench compares against.
-//   v2 (serialize_sections/restore_columnar) — a scalar section carrying
-//     everything but the per-user rows, plus one raw little-endian section
-//     per Population column.  Checkpoints write this; recovery maps the
-//     snapshot file read-only and bulk-copies the columns back in.
+// The snapshot rendition is "ZSNP" v2: a scalar section carrying everything
+// but the per-user rows, plus one raw little-endian section per Population
+// column.  Checkpoints write it; recovery maps the snapshot file read-only
+// and bulk-copies the columns back in.
 #include <bit>
 
 #include "core/isp.hpp"
@@ -27,7 +22,6 @@ namespace zmail::core {
 
 namespace {
 
-constexpr std::uint8_t kStateVersion = 1;          // v1 row blob
 constexpr std::uint8_t kColumnarStateVersion = 2;  // v2 scalar section
 
 void put_money(crypto::Bytes& b, Money m) { crypto::put_i64(b, m.micros()); }
@@ -77,8 +71,9 @@ void Isp::log_misbehavior(Misbehavior m) {
   log_op(WalOp::kSetMisbehavior, p);
 }
 
-// Everything after the per-user state, shared verbatim by both snapshot
-// renditions (the byte layout here is part of the frozen v1 format).
+// Everything after the per-user state and the policy table.  Restore
+// rejects enum bytes outside their enum (here and for the policy table):
+// an out-of-range value would match no case where the ISP switches on it.
 void Isp::serialize_scalar_tail(crypto::Bytes& b) const {
   crypto::put_i64(b, avail_);
   put_money(b, till_);
@@ -198,7 +193,9 @@ bool Isp::restore_scalar_tail(crypto::ByteReader& r) {
   outbox_.clear();
   for (std::uint32_t i = 0; i < n_out; ++i) {
     Outbound o{};
-    o.dest = static_cast<Outbound::Dest>(r.get_u8());
+    const std::uint8_t dest = r.get_u8();
+    if (dest > static_cast<std::uint8_t>(Outbound::Dest::kBank)) return false;
+    o.dest = static_cast<Outbound::Dest>(dest);
     o.isp_index = r.get_u64();
     const std::string type_name = r.get_string();
     o.type = type_name.empty() ? net::MsgType{} : net::MsgType::intern(type_name);
@@ -207,7 +204,10 @@ bool Isp::restore_scalar_tail(crypto::ByteReader& r) {
     outbox_.push_back(std::move(o));
   }
 
-  misbehavior_ = static_cast<Misbehavior>(r.get_u8());
+  const std::uint8_t misbehavior = r.get_u8();
+  if (misbehavior > static_cast<std::uint8_t>(Misbehavior::kFreeRide))
+    return false;
+  misbehavior_ = static_cast<Misbehavior>(misbehavior);
 
   IspMetrics& m = metrics_;
   for (std::uint64_t* v :
@@ -227,66 +227,6 @@ bool Isp::restore_scalar_tail(crypto::ByteReader& r) {
   get_rng(r, rng_);
   nonce_gen_.restore_issued(r.get_u64());
   return r.ok();
-}
-
-crypto::Bytes Isp::serialize_state() const {
-  crypto::Bytes b;
-  crypto::put_u8(b, kStateVersion);
-
-  crypto::put_u32(b, static_cast<std::uint32_t>(users_.size()));
-  for (std::size_t i = 0; i < users_.size(); ++i) {
-    const UserId id(i);
-    const auto pol = users_.policy_override(id);
-    crypto::put_u8(b, pol ? static_cast<std::uint8_t>(*pol) + 1 : 0);
-    const ConstUserRef u = users_.at(id);
-    put_money(b, u.account);
-    crypto::put_i64(b, u.balance);
-    crypto::put_i64(b, u.sent);
-    crypto::put_i64(b, u.limit);
-    put_bool(b, u.blocked_today != 0);
-    crypto::put_i64(b, u.warnings);
-    put_bool(b, u.quarantined != 0);
-    crypto::put_i64(b, u.lifetime_sent);
-    crypto::put_i64(b, u.lifetime_received_paid);
-    crypto::put_i64(b, u.lifetime_epennies_bought);
-    crypto::put_i64(b, u.lifetime_epennies_sold);
-  }
-
-  serialize_scalar_tail(b);
-  return b;
-}
-
-bool Isp::restore_state(const crypto::Bytes& state) {
-  crypto::ByteReader r(state);
-  if (r.get_u8() != kStateVersion) return false;
-
-  const std::uint32_t n_users = r.get_u32();
-  if (!r.ok() || n_users > (1u << 24)) return false;
-  users_.reset(n_users, Money::zero(), 0, 0);
-  for (std::uint32_t i = 0; i < n_users; ++i) {
-    const UserId id(i);
-    const std::uint8_t pol = r.get_u8();
-    if (pol != 0)
-      users_.set_policy_override(id,
-                                 static_cast<NonCompliantPolicy>(pol - 1));
-    const UserRef u = users_.at(id);
-    u.account = get_money(r);
-    u.balance = r.get_i64();
-    u.sent = r.get_i64();
-    u.limit = r.get_i64();
-    u.blocked_today = get_bool(r) ? 1 : 0;
-    u.warnings = r.get_i64();
-    u.quarantined = get_bool(r) ? 1 : 0;
-    u.lifetime_sent = r.get_i64();
-    u.lifetime_received_paid = r.get_i64();
-    u.lifetime_epennies_bought = r.get_i64();
-    u.lifetime_epennies_sold = r.get_i64();
-  }
-  // The mail spool is not settlement state; recovery starts it empty.
-  inboxes_.assign(n_users, std::vector<Delivery>{});
-
-  if (!restore_scalar_tail(r)) return false;
-  return r.ok() && r.at_end();
 }
 
 void Isp::serialize_sections(std::vector<store::SnapshotSection>& out) const {
@@ -345,7 +285,9 @@ bool Isp::restore_columnar(const std::vector<RawSection>& sections) {
   for (std::uint32_t i = 0; i < n_pol; ++i) {
     const std::uint32_t slot = r.get_u32();
     const std::uint8_t p = r.get_u8();
-    if (!r.ok() || slot >= n_users) return false;
+    if (!r.ok() || slot >= n_users ||
+        p > static_cast<std::uint8_t>(NonCompliantPolicy::kDiscard))
+      return false;
     users_.set_policy_override(UserId(slot),
                                static_cast<NonCompliantPolicy>(p));
   }
@@ -362,30 +304,12 @@ bool Isp::restore_columnar(const std::vector<RawSection>& sections) {
 }
 
 bool Isp::restore_snapshot(const store::SnapshotFileView& view) {
-  if (view.meta().version < store::kSnapshotVersionColumnar) {
-    // v1 compatibility: a pre-columnar snapshot still restores — copy the
-    // single state blob out of the mapping and run the row decoder.
-    const auto* s = view.find(store::kStateSection);
-    if (!s) return false;
-    return restore_state(crypto::Bytes(s->data, s->data + s->size));
-  }
+  // Pre-columnar files hold the retired v1 row blob; only v2 restores.
+  if (view.meta().version < store::kSnapshotVersionColumnar) return false;
   std::vector<RawSection> secs;
   secs.reserve(view.sections().size());
   for (const auto& s : view.sections())
     secs.push_back(RawSection{s.id, s.data, static_cast<std::size_t>(s.size)});
-  return restore_columnar(secs);
-}
-
-bool Isp::restore_snapshot(const store::SnapshotData& snap) {
-  if (snap.meta.version < store::kSnapshotVersionColumnar) {
-    for (const store::SnapshotSection& s : snap.sections)
-      if (s.id == store::kStateSection) return restore_state(s.payload);
-    return false;
-  }
-  std::vector<RawSection> secs;
-  secs.reserve(snap.sections.size());
-  for (const store::SnapshotSection& s : snap.sections)
-    secs.push_back(RawSection{s.id, s.payload.data(), s.payload.size()});
   return restore_columnar(secs);
 }
 

@@ -646,8 +646,8 @@ void ZmailSystem::rebuild_from_store(std::size_t host) {
     isps_[host] = std::make_unique<Isp>(host, params_, bank_keys_.pub,
                                         isp_ctor_seed_[host]);
     Isp* isp = isps_[host].get();
-    // recover_view maps the snapshot read-only; restore_snapshot handles
-    // both v2 (bulk column copies from the mapping) and legacy v1 files.
+    // recover_view maps the snapshot read-only; restore_snapshot bulk-copies
+    // the v2 columns out of the mapping.
     ok = cp->recover_view(
         [isp](const store::SnapshotFileView& v) {
           return isp->restore_snapshot(v);

@@ -59,10 +59,9 @@ struct SendOutcome {
   bool all_sent() const noexcept { return refused == 0; }
   constexpr operator SendResult() const noexcept { return result; }
 
-  // Classification used by both send paths; mirrors the historical
-  // MultiSendResult semantics (quarantine blocks the sender before any
-  // recipient is considered, so it is not a per-recipient refusal — the
-  // enum still reports it).
+  // Classification used by both send paths (quarantine blocks the sender
+  // before any recipient is considered, so it is not a per-recipient
+  // refusal — the enum still reports it).
   static constexpr bool counts_as_refused(SendResult r) noexcept {
     return r == SendResult::kNoBalance || r == SendResult::kDailyLimit;
   }
@@ -113,10 +112,6 @@ class ZmailSystem {
   // with Zmail's per-receiver payment semantics).  Returns the per-recipient
   // counts.
   SendOutcome send_email_multi(const net::EmailMessage& msg);
-
-  // Deprecated alias from before the SendOutcome unification; the fields
-  // (`sent`, `refused`) carried over unchanged.
-  using MultiSendResult = SendOutcome;
 
   // --- User e-penny trades (Section 4.2) -----------------------------------
   // False when `user` is not an in-range user of a compliant ISP, or when

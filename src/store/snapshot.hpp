@@ -74,6 +74,8 @@ constexpr std::uint32_t kUserColumnBase = 0x10;
 struct SnapshotSection {
   std::uint32_t id = 0;
   crypto::Bytes payload;
+
+  bool operator==(const SnapshotSection&) const = default;
 };
 
 struct SnapshotMeta {

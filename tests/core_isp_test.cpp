@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/bank.hpp"
+#include "isp_state.hpp"
 #include "store/snapshot.hpp"
 #include "store/wal.hpp"
 
@@ -701,25 +702,15 @@ void dirty_users(Isp& isp) {
   (void)isp.take_outbox();
 }
 
-TEST_F(IspTest, RunningTotalsSurviveV1RowAndV2ColumnRestores) {
+TEST_F(IspTest, RunningTotalsSurviveColumnarRestore) {
   dirty_users(isp_);
   expect_totals_agree(isp_);
 
-  Isp v1(0, params_, keys_.pub, 7);
-  ASSERT_TRUE(v1.restore_state(isp_.serialize_state()));
-  expect_totals_agree(v1);
-  EXPECT_EQ(v1.users().balance_total(), isp_.users().balance_total());
-  EXPECT_EQ(v1.users().account_total(), isp_.users().account_total());
-
   std::vector<store::SnapshotSection> sections;
   isp_.serialize_sections(sections);
-  std::vector<Isp::RawSection> raw;
-  for (const auto& sec : sections)
-    raw.push_back(Isp::RawSection{sec.id, sec.payload.data(),
-                                  sec.payload.size()});
   Isp v2(0, params_, keys_.pub, 7);
   v2.user(0).balance += 1'000;  // stale state the restore must replace
-  ASSERT_TRUE(v2.restore_columnar(raw));
+  ASSERT_TRUE(v2.restore_columnar(raw_sections(sections)));
   expect_totals_agree(v2);
   EXPECT_EQ(v2.users().balance_total(), isp_.users().balance_total());
   EXPECT_EQ(v2.users().account_total(), isp_.users().account_total());
@@ -728,7 +719,8 @@ TEST_F(IspTest, RunningTotalsSurviveV1RowAndV2ColumnRestores) {
 TEST_F(IspTest, RunningTotalsSurviveCrashAndRecover) {
   MemoryWal wal;
   dirty_users(isp_);
-  const crypto::Bytes checkpoint = isp_.serialize_state();
+  std::vector<store::SnapshotSection> checkpoint;
+  isp_.serialize_sections(checkpoint);
   isp_.attach_wal(&wal);
   dirty_users(isp_);  // the WAL tail past the checkpoint
   isp_.refund_lost_email(1, 1, true);
@@ -736,11 +728,11 @@ TEST_F(IspTest, RunningTotalsSurviveCrashAndRecover) {
 
   // Crash: a fresh instance rebuilt from the checkpoint plus the tail.
   Isp recovered(0, params_, keys_.pub, 7);
-  ASSERT_TRUE(recovered.restore_state(checkpoint));
+  ASSERT_TRUE(recovered.restore_columnar(raw_sections(checkpoint)));
   for (const auto& [op, payload] : wal.records)
     recovered.apply_wal_record(op, payload);
   expect_totals_agree(recovered);
-  EXPECT_EQ(recovered.serialize_state(), isp_.serialize_state());
+  EXPECT_EQ(isp_state(recovered), isp_state(isp_));
   EXPECT_EQ(recovered.epennies_held(), isp_.epennies_held());
   EXPECT_EQ(recovered.users().account_total(), isp_.users().account_total());
 }
@@ -763,7 +755,8 @@ TEST_F(IspTest, OnEmailMessageAndBytesOverloadsAgree) {
 
   Isp by_msg(0, params_, keys_.pub, 42);
   Isp by_bytes(0, params_, keys_.pub, 42);
-  const crypto::Bytes checkpoint = by_msg.serialize_state();
+  std::vector<store::SnapshotSection> checkpoint;
+  by_msg.serialize_sections(checkpoint);
   MemoryWal wal_msg, wal_bytes;
   by_msg.attach_wal(&wal_msg);
   by_bytes.attach_wal(&wal_bytes);
@@ -774,7 +767,7 @@ TEST_F(IspTest, OnEmailMessageAndBytesOverloadsAgree) {
   by_msg.note_bad_envelope(0);
   by_bytes.note_bad_envelope(0);
 
-  EXPECT_EQ(by_msg.serialize_state(), by_bytes.serialize_state());
+  EXPECT_EQ(isp_state(by_msg), isp_state(by_bytes));
   EXPECT_EQ(by_msg.metrics().bad_envelopes, 2u);
   EXPECT_EQ(by_msg.metrics().acks_generated, 1u);
   ASSERT_EQ(wal_msg.records.size(), inputs.size() + 1);
@@ -797,10 +790,10 @@ TEST_F(IspTest, OnEmailMessageAndBytesOverloadsAgree) {
 
   // Crash: replaying the message overload's WAL rebuilds its state.
   Isp recovered(0, params_, keys_.pub, 7);
-  ASSERT_TRUE(recovered.restore_state(checkpoint));
+  ASSERT_TRUE(recovered.restore_columnar(raw_sections(checkpoint)));
   for (const auto& [op, payload] : wal_msg.records)
     recovered.apply_wal_record(op, payload);
-  EXPECT_EQ(recovered.serialize_state(), by_msg.serialize_state());
+  EXPECT_EQ(isp_state(recovered), isp_state(by_msg));
   expect_totals_agree(recovered);
 }
 

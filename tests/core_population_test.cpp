@@ -1,7 +1,7 @@
 // Columnar user-state core: UserId semantics, Population column/arena
-// behavior, and the two ISP snapshot renditions agreeing with each other
-// (v1 row blob <-> v2 columnar sections, including the v1 read-compat
-// path used for pre-columnar snapshots on disk).
+// behavior, and the ISP's "ZSNP" v2 columnar snapshot sections: exact
+// round trips, the mmap restore path, and rejection of malformed or
+// pre-columnar snapshots.
 #include "core/population.hpp"
 
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 
 #include "core/bank.hpp"
 #include "core/isp.hpp"
+#include "isp_state.hpp"
 #include "store/snapshot.hpp"
 #include "util/rng.hpp"
 
@@ -311,15 +312,12 @@ TEST_F(PopulationSnapshotTest, ColumnarSectionsRoundTripExactly) {
   a.serialize_sections(sections);
   ASSERT_EQ(sections.size(), 1 + Population::kColumnCount);
 
-  std::vector<Isp::RawSection> raw;
-  for (const auto& s : sections)
-    raw.push_back(Isp::RawSection{s.id, s.payload.data(), s.payload.size()});
-
   Isp b(0, params_, keys_.pub, 7);  // different seed: fully overwritten
-  ASSERT_TRUE(b.restore_columnar(raw));
-  // The v1 blob is a complete, canonical rendition of ISP state; byte
-  // equality proves the columnar round trip restored everything.
-  EXPECT_EQ(b.serialize_state(), a.serialize_state());
+  ASSERT_NE(isp_state(b), isp_state(a));
+  ASSERT_TRUE(b.restore_columnar(raw_sections(sections)));
+  // The sections are a complete rendition of ISP state; byte equality of
+  // a re-serialization proves the round trip restored everything.
+  EXPECT_EQ(isp_state(b), isp_state(a));
   EXPECT_EQ(b.users().policy_override(UserId(3)),
             NonCompliantPolicy::kDiscard);
 }
@@ -330,25 +328,76 @@ TEST_F(PopulationSnapshotTest, MissingColumnSectionIsRejected) {
   std::vector<store::SnapshotSection> sections;
   a.serialize_sections(sections);
   sections.pop_back();  // drop the last column
-  std::vector<Isp::RawSection> raw;
-  for (const auto& s : sections)
-    raw.push_back(Isp::RawSection{s.id, s.payload.data(), s.payload.size()});
   Isp b(0, params_, keys_.pub, 7);
-  EXPECT_FALSE(b.restore_columnar(raw));
+  EXPECT_FALSE(b.restore_columnar(raw_sections(sections)));
 }
 
-TEST_F(PopulationSnapshotTest, V1SnapshotsStillRestore) {
+// Restore rejects enum bytes outside their enum.  An override policy that
+// no case of Isp::on_email's policy switch matches would count the mail
+// as received and neither deliver nor discard it.
+TEST_F(PopulationSnapshotTest, OutOfRangePolicyByteIsRejected) {
   Isp a(0, params_, keys_.pub, 42);
   dirty(a);
+  std::vector<store::SnapshotSection> sections;
+  a.serialize_sections(sections);
 
-  // A pre-columnar snapshot: v1 container, single state-blob section.
-  store::SnapshotData snap;
-  snap.sections.push_back(
-      store::SnapshotSection{store::kStateSection, a.serialize_state()});
+  // Scalar section: version u8, users u32, override count u32, then the
+  // one override dirty() set, (slot u32, policy u8) for user 3.
+  crypto::Bytes& scalars = sections.front().payload;
+  constexpr std::size_t kPolicyByte = 1 + 4 + 4 + 4;
+  ASSERT_EQ(sections.front().id, store::kIspScalarsSection);
+  ASSERT_EQ(scalars[kPolicyByte],
+            static_cast<std::uint8_t>(NonCompliantPolicy::kDiscard));
+  scalars[kPolicyByte] = 9;
 
   Isp b(0, params_, keys_.pub, 7);
-  ASSERT_TRUE(b.restore_snapshot(snap));
-  EXPECT_EQ(b.serialize_state(), a.serialize_state());
+  EXPECT_FALSE(b.restore_columnar(raw_sections(sections)));
+}
+
+TEST_F(PopulationSnapshotTest, OutOfRangeMisbehaviorByteIsRejected) {
+  Isp honest(0, params_, keys_.pub, 42);
+  Isp free_rider(0, params_, keys_.pub, 42);
+  free_rider.set_misbehavior(Isp::Misbehavior::kFreeRide);
+  std::vector<store::SnapshotSection> a, b;
+  honest.serialize_sections(a);
+  free_rider.serialize_sections(b);
+
+  // The two scalar sections differ in the misbehavior byte alone.
+  const crypto::Bytes& ha = a.front().payload;
+  crypto::Bytes& hb = b.front().payload;
+  ASSERT_EQ(ha.size(), hb.size());
+  std::vector<std::size_t> diff;
+  for (std::size_t i = 0; i < ha.size(); ++i)
+    if (ha[i] != hb[i]) diff.push_back(i);
+  ASSERT_EQ(diff.size(), 1u);
+  hb[diff[0]] = 2;
+
+  Isp c(0, params_, keys_.pub, 7);
+  EXPECT_FALSE(c.restore_columnar(raw_sections(b)));
+}
+
+// The retired v1 rendition (a v1 container holding one row-blob section)
+// is refused before any state is touched.
+TEST_F(PopulationSnapshotTest, V1SnapshotIsRejected) {
+  store::SnapshotData snap;  // meta.version defaults to v1
+  snap.sections.push_back(store::SnapshotSection{
+      store::kStateSection, crypto::Bytes{1, 0, 0, 0, 4}});
+  const std::string path = "core_population_test_v1.zsnap";
+  std::string err;
+  ASSERT_EQ(store::write_snapshot_file(path, snap, true, &err),
+            store::StoreStatus::kOk)
+      << err;
+
+  store::SnapshotFileView view;
+  ASSERT_EQ(view.open(path), store::StoreStatus::kOk);
+  ASSERT_EQ(view.meta().version, store::kSnapshotVersion);
+  Isp b(0, params_, keys_.pub, 7);
+  dirty(b);
+  const crypto::Bytes before = isp_state(b);
+  EXPECT_FALSE(b.restore_snapshot(view));
+  EXPECT_EQ(isp_state(b), before);
+  view.close();
+  std::remove(path.c_str());
 }
 
 TEST_F(PopulationSnapshotTest, V2SnapshotRestoresViaMmapView) {
@@ -369,7 +418,7 @@ TEST_F(PopulationSnapshotTest, V2SnapshotRestoresViaMmapView) {
   ASSERT_EQ(view.open(path), store::StoreStatus::kOk);
   Isp b(0, params_, keys_.pub, 7);
   ASSERT_TRUE(b.restore_snapshot(view));
-  EXPECT_EQ(b.serialize_state(), a.serialize_state());
+  EXPECT_EQ(isp_state(b), isp_state(a));
   view.close();
   std::remove(path.c_str());
 }

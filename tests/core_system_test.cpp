@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <type_traits>
-
 #include "net/faults.hpp"
 #include "trace/analyze.hpp"
 #include "trace/trace.hpp"
@@ -322,8 +320,6 @@ TEST(SendOutcome, MultiRecipientCountsRefusals) {
   EXPECT_EQ(r.refused, 1u);
   EXPECT_FALSE(r.all_sent());
   EXPECT_EQ(r.result, SendResult::kNoBalance);  // first refusal wins
-  // MultiSendResult remains as an alias for incremental migration.
-  static_assert(std::is_same_v<ZmailSystem::MultiSendResult, SendOutcome>);
 }
 
 TEST(IspId, ImplicitFromIndexAndComparable) {
